@@ -1,54 +1,78 @@
 #include "check/coherence.hh"
 
-#include <unordered_set>
+#include <bit>
+#include <set>
 #include <utility>
 
 #include "check/check.hh"
 
 namespace absim::check {
 
+namespace {
+
+/** Lowest node in a non-empty node mask (failure messages). */
+net::NodeId
+lowestNode(std::uint64_t mask)
+{
+    return static_cast<net::NodeId>(std::countr_zero(mask));
+}
+
+} // namespace
+
 CoherenceChecker::CoherenceChecker(
     std::string name, bool exact_sharers,
     const std::vector<std::unique_ptr<mem::SetAssocCache>> &caches,
-    Lookup lookup, Enumerate enumerate)
+    const mem::HolderIndex &holders, Lookup lookup, Enumerate enumerate)
     : name_(std::move(name)), exactSharers_(exact_sharers),
-      caches_(caches), lookup_(std::move(lookup)),
+      caches_(caches), holders_(holders), lookup_(std::move(lookup)),
       enumerate_(std::move(enumerate))
 {
 }
 
 void
-CoherenceChecker::checkBlock(mem::BlockId blk) const
+CoherenceChecker::checkBlock(mem::BlockId blk, const DirInfo &dir) const
 {
     if (!options().coherence)
         return;
+    verify(blk, dir, holders_.holders(blk));
+}
+
+void
+CoherenceChecker::verify(mem::BlockId blk, const DirInfo &dir,
+                         std::uint64_t holders) const
+{
     ++blocksChecked_;
 
-    const DirInfo dir = lookup_(blk);
-    std::uint32_t copies = 0;
+    if (holders != 0) {
+        ABSIM_CHECK(dir.tracked, name_ << ": node " << lowestNode(holders)
+                                       << " holds block " << blk
+                                       << " unknown to the directory");
+        const std::uint64_t unregistered = holders & ~dir.sharers;
+        ABSIM_CHECK(unregistered == 0,
+                    name_ << ": node " << lowestNode(unregistered)
+                          << " holds block " << blk
+                          << " without a sharer bit (sharers=0x"
+                          << std::hex << dir.sharers << std::dec << ")");
+    }
+    if (exactSharers_ && dir.tracked) {
+        const std::uint64_t stale = dir.sharers & ~holders;
+        ABSIM_CHECK(stale == 0,
+                    name_ << ": stale sharer bit, node " << lowestNode(stale)
+                          << " listed for block " << blk
+                          << " but holds no copy");
+    }
+
+    const auto copies = static_cast<std::uint32_t>(std::popcount(holders));
     std::uint32_t owned_copies = 0;
     std::int32_t owned_node = -1;
     bool dirty = false;
-
-    for (net::NodeId n = 0;
-         n < static_cast<net::NodeId>(caches_.size()); ++n) {
+    for (std::uint64_t rest = holders; rest != 0; rest &= rest - 1) {
+        const net::NodeId n = lowestNode(rest);
         const mem::LineState state = caches_[n]->stateOf(blk);
-        if (state == mem::LineState::Invalid) {
-            if (exactSharers_ && dir.tracked)
-                ABSIM_CHECK(!dir.isSharer(n),
-                            name_ << ": stale sharer bit, node " << n
-                                  << " listed for block " << blk
-                                  << " but holds no copy");
-            continue;
-        }
-        ++copies;
-        ABSIM_CHECK(dir.tracked, name_ << ": node " << n
-                                       << " holds block " << blk
-                                       << " unknown to the directory");
-        ABSIM_CHECK(dir.isSharer(n),
-                    name_ << ": node " << n << " holds block " << blk
-                          << " without a sharer bit (sharers=0x"
-                          << std::hex << dir.sharers << std::dec << ")");
+        ABSIM_CHECK(state != mem::LineState::Invalid,
+                    name_ << ": holder shadow lists node " << n
+                          << " for block " << blk
+                          << " but its cache holds no copy");
         if (mem::isOwned(state)) {
             ++owned_copies;
             owned_node = static_cast<std::int32_t>(n);
@@ -83,16 +107,39 @@ CoherenceChecker::checkAll() const
 {
     if (!options().coherence)
         return;
-    std::unordered_set<mem::BlockId> blocks;
-    for (const auto &cache : caches_)
-        for (const auto &[blk, state] : cache->residentLines()) {
-            (void)state;
-            blocks.insert(blk);
-        }
+
+    // Every tracked or shadowed block once, in ascending order, so the
+    // first violation reported never depends on hash-table layout.
+    std::set<mem::BlockId> blocks;
     if (enumerate_)
         enumerate_([&blocks](mem::BlockId blk) { blocks.insert(blk); });
-    for (const mem::BlockId blk : blocks)
-        checkBlock(blk);
+    holders_.forEach([&blocks](mem::BlockId blk, std::uint64_t) {
+        blocks.insert(blk);
+    });
+
+    for (const mem::BlockId blk : blocks) {
+        std::uint64_t scan = 0;
+        for (std::size_t n = 0; n < caches_.size(); ++n)
+            if (caches_[n]->stateOf(blk) != mem::LineState::Invalid)
+                scan |= std::uint64_t{1} << n;
+        const std::uint64_t shadow = holders_.holders(blk);
+        ABSIM_CHECK(shadow == scan,
+                    name_ << ": holder shadow drift on block " << blk
+                          << ": shadow lists 0x" << std::hex << shadow
+                          << " but the caches hold 0x" << scan << std::dec);
+        verify(blk, lookup_(blk), scan);
+    }
+
+    // The scan above covered every block the directory or the shadow
+    // knows; a copy of any other block is drift the shadow missed.
+    for (std::size_t n = 0; n < caches_.size(); ++n)
+        for (const auto &[blk, state] : caches_[n]->residentLines()) {
+            (void)state;
+            ABSIM_CHECK((holders_.holders(blk) >> n) & 1u,
+                        name_ << ": holder shadow drift on block " << blk
+                              << ": node " << n
+                              << " holds a copy the shadow does not list");
+        }
 }
 
 } // namespace absim::check

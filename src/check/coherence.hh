@@ -17,11 +17,17 @@
  *    owned copy, and (for machines whose sharer bits are exact, like the
  *    LogP+C oracle) every sharer bit corresponds to a resident copy.
  *
- * The memory models invoke checkBlock() after every protocol transition
+ * The memory models invoke checkBlock() after every protocol transition,
+ * passing the directory (or oracle) entry the transaction already holds,
  * and checkAll() at drain; both are no-ops when
- * check::options().coherence is off.  The checker reads model state
- * through two callbacks so it depends only on src/mem, not on any
- * machine model.
+ * check::options().coherence is off.
+ *
+ * Cost: checkBlock() visits only the block's holders, which it reads from
+ * the model's holder shadow (mem::HolderIndex, kept by the caches
+ * themselves), so a transition costs O(holders) rather than O(P).
+ * checkAll() is the oracle for that shortcut: it probes every cache for
+ * every block, asserts the shadow equals that scan, and verifies each
+ * block from the scan, in ascending block order.
  */
 
 #ifndef ABSIM_CHECK_COHERENCE_HH
@@ -35,6 +41,7 @@
 
 #include "mem/addr.hh"
 #include "mem/cache.hh"
+#include "mem/holder_index.hh"
 
 namespace absim::check {
 
@@ -60,7 +67,7 @@ struct DirInfo
 class CoherenceChecker
 {
   public:
-    /** Report the directory state of one block. */
+    /** Report the directory state of one block (drain sweep only). */
     using Lookup = std::function<DirInfo(mem::BlockId)>;
 
     /** Visit every block the directory tracks. */
@@ -74,30 +81,43 @@ class CoherenceChecker
      *                       replacements, e.g. the LogP+C oracle).
      * @param caches         The machine's per-node caches (must outlive
      *                       the checker; never resized).
-     * @param lookup         Directory state accessor.
+     * @param holders        The shadow those caches maintain.
+     * @param lookup         Directory state accessor, used by checkAll().
      * @param enumerate      Directory iteration, used by checkAll().
      */
     CoherenceChecker(
         std::string name, bool exact_sharers,
         const std::vector<std::unique_ptr<mem::SetAssocCache>> &caches,
-        Lookup lookup, Enumerate enumerate);
+        const mem::HolderIndex &holders, Lookup lookup, Enumerate enumerate);
 
     /**
-     * Verify the invariants for @p blk across all caches.  Call at a
+     * Verify the invariants for @p blk, whose directory state is @p dir,
+     * visiting only the caches the shadow lists as holders.  Call at a
      * transaction boundary: the block must not be mid-transition.
      */
-    void checkBlock(mem::BlockId blk) const;
+    void checkBlock(mem::BlockId blk, const DirInfo &dir) const;
 
-    /** Full sweep: every resident line and every tracked block. */
+    /**
+     * Full sweep.  Every block the directory tracks or the shadow lists
+     * is probed in every cache, in ascending block order: the shadow must
+     * equal that scan and the block must pass checkBlock's invariants.
+     * A last pass over every resident line catches copies of blocks
+     * neither knows.
+     */
     void checkAll() const;
 
     /** Blocks verified so far (proves the validator ran). */
     std::uint64_t blocksChecked() const { return blocksChecked_; }
 
   private:
+    /** The invariants, given the exact set of caches holding @p blk. */
+    void verify(mem::BlockId blk, const DirInfo &dir,
+                std::uint64_t holders) const;
+
     std::string name_;
     bool exactSharers_;
     const std::vector<std::unique_ptr<mem::SetAssocCache>> &caches_;
+    const mem::HolderIndex &holders_;
     Lookup lookup_;
     Enumerate enumerate_;
     mutable std::uint64_t blocksChecked_ = 0;

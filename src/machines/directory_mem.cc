@@ -1,5 +1,8 @@
 #include "machines/directory_mem.hh"
 
+#include <array>
+#include <bit>
+#include <span>
 #include <utility>
 
 #include "check/check.hh"
@@ -11,37 +14,45 @@ using mem::BlockId;
 using mem::LineState;
 using net::NodeId;
 
+namespace {
+
+/** The checker's view of a directory entry. */
+check::DirInfo
+dirInfo(const mem::DirectoryEntry &entry)
+{
+    return {entry.sharers, entry.owner, /*tracked=*/true};
+}
+
+} // namespace
+
 DirectoryMem::DirectoryMem(sim::EventQueue &eq, NetModel &net,
                            std::uint32_t nodes, const mem::HomeMap &homes,
                            MachineStats &stats,
                            const CacheConfig &cache_config,
                            ProtocolKind protocol, std::string checker_name)
     : MemModel(net, nodes, homes, stats), eq_(eq), protocol_(protocol),
-      checker_(
-          std::move(checker_name), /*exact_sharers=*/false, caches_,
-          [this](BlockId blk) {
-              check::DirInfo info;
-              if (const mem::DirectoryEntry *e = dir_.peek(blk)) {
-                  info.tracked = true;
-                  info.sharers = e->sharers;
-                  info.owner = e->owner;
-              }
-              return info;
-          },
-          [this](const std::function<void(BlockId)> &fn) {
-              dir_.forEach(
-                  [&fn](BlockId blk, const mem::DirectoryEntry &) {
-                      fn(blk);
-                  });
-          })
+      checker_(std::move(checker_name), /*exact_sharers=*/false, caches_,
+               holders_,
+               [this](BlockId blk) {
+                   const mem::DirectoryEntry *e = dir_.peek(blk);
+                   return e ? dirInfo(*e) : check::DirInfo{};
+               },
+               [this](const std::function<void(BlockId)> &fn) {
+                   dir_.forEach(
+                       [&fn](BlockId blk, const mem::DirectoryEntry &) {
+                           fn(blk);
+                       });
+               })
 {
     ABSIM_CHECK(nodes <= mem::kMaxNodes,
                 nodes << " nodes exceed the " << mem::kMaxNodes
                       << "-node sharer masks");
     caches_.reserve(nodes);
-    for (std::uint32_t i = 0; i < nodes; ++i)
+    for (std::uint32_t i = 0; i < nodes; ++i) {
         caches_.push_back(std::make_unique<mem::SetAssocCache>(
             cache_config.bytes, cache_config.ways));
+        caches_.back()->attachHolders(&holders_, i);
+    }
 }
 
 void
@@ -91,10 +102,9 @@ DirectoryMem::access(MemClient &client, mem::Addr addr, AccessType type,
     if (state == LineState::Invalid)
         makeRoom(node, blk, t);
 
-    if (is_read)
-        readMiss(node, blk, t);
-    else
-        writeMiss(node, blk, state != LineState::Invalid, t);
+    const mem::DirectoryEntry &entry =
+        is_read ? readMiss(node, blk, t)
+                : writeMiss(node, blk, state != LineState::Invalid, t);
 
     if (stats_.messages != messages_before) {
         t.networked = true;
@@ -105,7 +115,7 @@ DirectoryMem::access(MemClient &client, mem::Addr addr, AccessType type,
 
     // The transaction just committed; its block must satisfy SWMR and
     // agree with the directory at this quiescent point.
-    checker_.checkBlock(blk);
+    checker_.checkBlock(blk, dirInfo(entry));
 
     // The access completes out of the (now valid) cache line.
     t.busy += kCacheHitNs;
@@ -119,16 +129,15 @@ DirectoryMem::makeRoom(NodeId node, BlockId blk, AccessTiming &t)
     LineState vstate;
     if (!caches_[node]->victimFor(blk, victim, vstate))
         return;
-    if (mem::isOwned(vstate)) {
-        writeback(node, victim, vstate, t);
-        checker_.checkBlock(victim);
-    }
+    if (mem::isOwned(vstate))
+        checker_.checkBlock(victim,
+                            dirInfo(writeback(node, victim, vstate, t)));
     // Clean (Valid) victims are replaced silently: the directory keeps a
     // stale sharer bit, which at worst causes a harmless spurious
     // invalidation later — exactly like real full-map directories.
 }
 
-void
+const mem::DirectoryEntry &
 DirectoryMem::writeback(NodeId node, BlockId victim, LineState state,
                         AccessTiming &t)
 {
@@ -141,7 +150,7 @@ DirectoryMem::writeback(NodeId node, BlockId victim, LineState state,
     // nothing left to write back.
     if (!mem::isOwned(caches_[node]->stateOf(victim))) {
         entry.lock.release();
-        return;
+        return entry;
     }
 
     ++stats_.writebacks;
@@ -155,9 +164,10 @@ DirectoryMem::writeback(NodeId node, BlockId victim, LineState state,
     entry.removeSharer(node);
     caches_[node]->setState(victim, LineState::Invalid);
     entry.lock.release();
+    return entry;
 }
 
-void
+const mem::DirectoryEntry &
 DirectoryMem::readMiss(NodeId node, BlockId blk, AccessTiming &t)
 {
     ++stats_.readMisses;
@@ -198,9 +208,10 @@ DirectoryMem::readMiss(NodeId node, BlockId blk, AccessTiming &t)
     entry.addSharer(node);
     caches_[node]->install(blk, LineState::Valid);
     entry.lock.release();
+    return entry;
 }
 
-void
+const mem::DirectoryEntry &
 DirectoryMem::writeMiss(NodeId node, BlockId blk, bool have_line,
                         AccessTiming &t)
 {
@@ -260,6 +271,7 @@ DirectoryMem::writeMiss(NodeId node, BlockId blk, bool have_line,
     else
         caches_[node]->install(blk, LineState::Dirty);
     entry.lock.release();
+    return entry;
 }
 
 void
@@ -270,27 +282,31 @@ DirectoryMem::invalidateSharers(NodeId node, BlockId blk,
 
     // Apply the state flips immediately: the home lock is held, so this is
     // the transaction's serialization point.  The network traffic below
-    // contributes timing only.
-    std::vector<NodeId> remote_targets;
-    for (NodeId s = 0; s < nodes_; ++s) {
-        if (s == node || !entry.isSharer(s))
-            continue;
+    // contributes timing only.  Targets go in ascending node order.  The
+    // buffer lives on this transaction's own stack because the fan-out
+    // yields, and another transaction on this model may run meanwhile.
+    std::array<NodeId, mem::kMaxNodes> remote;
+    std::size_t remote_count = 0;
+    for (std::uint64_t others = entry.sharers & ~(std::uint64_t{1} << node);
+         others != 0; others &= others - 1) {
+        const auto s = static_cast<NodeId>(std::countr_zero(others));
         caches_[s]->invalidate(blk);
         ++stats_.invalidations;
         if (s != home)
-            remote_targets.push_back(s);
+            remote[remote_count++] = s;
         // An invalidation for the home node itself costs no network
         // traffic (directory and cache are co-located).
     }
     entry.sharers = 0;
 
-    if (remote_targets.empty())
+    if (remote_count == 0)
         return;
 
     // Parallel invalidation/ack round trips from the home; the requester
     // waits for the slowest.  The NetModel partitions the elapsed wait
     // into critical latency and contention.
-    const NetTiming r = net_.fanOutRoundTrips(home, remote_targets);
+    const NetTiming r = net_.fanOutRoundTrips(
+        home, std::span<const NodeId>(remote.data(), remote_count));
     stats_.messages += r.messages;
     t.latency += r.latency;
     t.contention += r.contention;
@@ -314,7 +330,8 @@ DirectoryMem::corruptStateForFault(std::uint64_t seed)
                                       : LineState::Valid);
         // The corrupted transition must be caught right here, the same
         // way every real transition is checked at its boundary.
-        checker_.checkBlock(blk);
+        const mem::DirectoryEntry *entry = dir_.peek(blk);
+        checker_.checkBlock(blk, entry ? dirInfo(*entry) : check::DirInfo{});
         return true;
     }
     return false;

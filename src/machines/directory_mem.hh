@@ -78,6 +78,7 @@ class DirectoryMem : public MemModel
     /// @{
     mem::SetAssocCache &cacheForTest(net::NodeId n) { return *caches_[n]; }
     mem::Directory &directoryForTest() { return dir_; }
+    mem::HolderIndex &holdersForTest() { return holders_; }
     /// @}
 
   private:
@@ -86,17 +87,23 @@ class DirectoryMem : public MemModel
     void hop(net::NodeId src, net::NodeId dst, std::uint32_t bytes,
              AccessTiming &t);
 
-    /** Write the victim back to its home and update the directory. */
-    void writeback(net::NodeId node, mem::BlockId victim,
-                   mem::LineState state, AccessTiming &t);
+    /** Write the victim back to its home and update the directory.
+     *  @return The victim's directory entry. */
+    const mem::DirectoryEntry &writeback(net::NodeId node,
+                                         mem::BlockId victim,
+                                         mem::LineState state,
+                                         AccessTiming &t);
 
-    /** Read-miss transaction (Berkeley: owner supplies if one exists). */
-    void readMiss(net::NodeId node, mem::BlockId blk, AccessTiming &t);
+    /** Read-miss transaction (Berkeley: owner supplies if one exists).
+     *  @return The block's directory entry. */
+    const mem::DirectoryEntry &readMiss(net::NodeId node, mem::BlockId blk,
+                                        AccessTiming &t);
 
     /** Write-miss / upgrade transaction: fetch data if needed, invalidate
-     *  all other copies, take exclusive ownership. */
-    void writeMiss(net::NodeId node, mem::BlockId blk, bool have_line,
-                   AccessTiming &t);
+     *  all other copies, take exclusive ownership.
+     *  @return The block's directory entry. */
+    const mem::DirectoryEntry &writeMiss(net::NodeId node, mem::BlockId blk,
+                                         bool have_line, AccessTiming &t);
 
     /** Fan out invalidations to every sharer but @p node in parallel and
      *  wait for all acks; state flips happen immediately (lock is held). */
@@ -107,6 +114,7 @@ class DirectoryMem : public MemModel
     void makeRoom(net::NodeId node, mem::BlockId blk, AccessTiming &t);
 
     sim::EventQueue &eq_;
+    mem::HolderIndex holders_; // Kept by caches_; read by checker_.
     std::vector<std::unique_ptr<mem::SetAssocCache>> caches_;
     mem::Directory dir_;
     ProtocolKind protocol_;

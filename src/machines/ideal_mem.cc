@@ -1,5 +1,6 @@
 #include "machines/ideal_mem.hh"
 
+#include <bit>
 #include <utility>
 
 #include "check/check.hh"
@@ -10,35 +11,43 @@ using mem::BlockId;
 using mem::LineState;
 using net::NodeId;
 
+namespace {
+
+/** The checker's view of an oracle entry. */
+check::DirInfo
+dirInfo(const IdealCacheMem::OracleEntry &entry)
+{
+    return {entry.sharers, entry.owner, /*tracked=*/true};
+}
+
+} // namespace
+
 IdealCacheMem::IdealCacheMem(NetModel &net, std::uint32_t nodes,
                              const mem::HomeMap &homes, MachineStats &stats,
                              const CacheConfig &cache_config,
                              std::string checker_name)
     : MemModel(net, nodes, homes, stats),
-      checker_(
-          std::move(checker_name), /*exact_sharers=*/true, caches_,
-          [this](BlockId blk) {
-              check::DirInfo info;
-              auto it = oracle_.find(blk);
-              if (it != oracle_.end()) {
-                  info.tracked = true;
-                  info.sharers = it->second.sharers;
-                  info.owner = it->second.owner;
-              }
-              return info;
-          },
-          [this](const std::function<void(BlockId)> &fn) {
-              for (const auto &kv : oracle_)
-                  fn(kv.first);
-          })
+      checker_(std::move(checker_name), /*exact_sharers=*/true, caches_,
+               holders_,
+               [this](BlockId blk) {
+                   const auto it = oracle_.find(blk);
+                   return it == oracle_.end() ? check::DirInfo{}
+                                              : dirInfo(it->second);
+               },
+               [this](const std::function<void(BlockId)> &fn) {
+                   for (const auto &kv : oracle_)
+                       fn(kv.first);
+               })
 {
     ABSIM_CHECK(nodes <= mem::kMaxNodes,
                 nodes << " nodes exceed the " << mem::kMaxNodes
                       << "-node sharer masks");
     caches_.reserve(nodes);
-    for (std::uint32_t i = 0; i < nodes; ++i)
+    for (std::uint32_t i = 0; i < nodes; ++i) {
         caches_.push_back(std::make_unique<mem::SetAssocCache>(
             cache_config.bytes, cache_config.ways));
+        caches_.back()->attachHolders(&holders_, i);
+    }
 }
 
 void
@@ -53,22 +62,18 @@ IdealCacheMem::makeRoom(NodeId node, BlockId blk)
     if (entry.owner == static_cast<std::int32_t>(node))
         entry.owner = -1; // Writeback is free: data teleports home.
     caches_[node]->setState(victim, LineState::Invalid);
-    checker_.checkBlock(victim);
+    checker_.checkBlock(victim, dirInfo(entry));
 }
 
 void
 IdealCacheMem::invalidateOthers(NodeId node, BlockId blk,
                                 OracleEntry &entry)
 {
-    const std::uint64_t others =
-        entry.sharers & ~(std::uint64_t{1} << node);
-    if (others != 0) {
-        for (NodeId s = 0; s < nodes_; ++s) {
-            if ((others >> s) & 1u) {
-                caches_[s]->invalidate(blk);
-                ++stats_.invalidations; // Counted, but free.
-            }
-        }
+    for (std::uint64_t others = entry.sharers & ~(std::uint64_t{1} << node);
+         others != 0; others &= others - 1) {
+        caches_[static_cast<NodeId>(std::countr_zero(others))]->invalidate(
+            blk);
+        ++stats_.invalidations; // Counted, but free.
     }
     entry.sharers = std::uint64_t{1} << node;
     entry.owner = static_cast<std::int32_t>(node);
@@ -102,10 +107,11 @@ IdealCacheMem::access(MemClient &client, mem::Addr addr, AccessType type,
         // there is no network access at all.
         ++stats_.upgrades;
         ++cache.stats().upgrades;
-        invalidateOthers(node, blk, entryOf(blk));
+        OracleEntry &entry = entryOf(blk);
+        invalidateOthers(node, blk, entry);
         cache.setState(blk, LineState::Dirty);
         cache.touch(blk);
-        checker_.checkBlock(blk);
+        checker_.checkBlock(blk, dirInfo(entry));
         t.busy = kCacheHitNs;
         return t;
     }
@@ -155,7 +161,7 @@ IdealCacheMem::access(MemClient &client, mem::Addr addr, AccessType type,
         cache.install(blk, LineState::Dirty);
     }
 
-    checker_.checkBlock(blk);
+    checker_.checkBlock(blk, dirInfo(entry));
     t.busy += kCacheHitNs;
     return t;
 }

@@ -73,6 +73,7 @@ class IdealCacheMem : public MemModel
     /// @{
     mem::SetAssocCache &cacheForTest(net::NodeId n) { return *caches_[n]; }
     OracleEntry &oracleForTest(mem::BlockId blk) { return entryOf(blk); }
+    mem::HolderIndex &holdersForTest() { return holders_; }
     /// @}
 
   private:
@@ -85,6 +86,7 @@ class IdealCacheMem : public MemModel
     void invalidateOthers(net::NodeId node, mem::BlockId blk,
                           OracleEntry &entry);
 
+    mem::HolderIndex holders_; // Kept by caches_; read by checker_.
     std::vector<std::unique_ptr<mem::SetAssocCache>> caches_;
     std::unordered_map<mem::BlockId, OracleEntry> oracle_;
     check::CoherenceChecker checker_;

@@ -50,6 +50,7 @@ class LogPCMachine : public ComposedMachine
     {
         return idealMem().oracleForTest(blk);
     }
+    mem::HolderIndex &holdersForTest() { return idealMem().holdersForTest(); }
     /// @}
 
   private:

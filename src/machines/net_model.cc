@@ -1,5 +1,8 @@
 #include "machines/net_model.hh"
 
+#include <memory>
+#include <vector>
+
 #include "sim/process.hh"
 
 namespace absim::mach {
@@ -33,7 +36,7 @@ DetailedNetModel::roundTrip(NodeId src, NodeId dst,
 
 NetTiming
 DetailedNetModel::fanOutRoundTrips(NodeId center,
-                                   const std::vector<NodeId> &targets)
+                                   std::span<const NodeId> targets)
 {
     // One helper process per target runs the inv/ack round trip; the
     // caller waits on the latch for the slowest.
@@ -109,7 +112,7 @@ LogPNetModel::roundTrip(NodeId src, NodeId dst, std::uint32_t reply_bytes)
 
 NetTiming
 LogPNetModel::fanOutRoundTrips(NodeId center,
-                               const std::vector<NodeId> &targets)
+                               std::span<const NodeId> targets)
 {
     // All round trips start now; g-gates at the center serialize the
     // sends, which is exactly LogP's model of an invalidation fan-out.

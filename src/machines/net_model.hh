@@ -18,7 +18,7 @@
 #define ABSIM_MACHINES_NET_MODEL_HH
 
 #include <memory>
-#include <vector>
+#include <span>
 
 #include "logp/logp_net.hh"
 #include "machines/machine.hh"
@@ -65,7 +65,7 @@ class NetModel
      * @pre !targets.empty()
      */
     virtual NetTiming fanOutRoundTrips(
-        net::NodeId center, const std::vector<net::NodeId> &targets) = 0;
+        net::NodeId center, std::span<const net::NodeId> targets) = 0;
 };
 
 /** The detailed circuit-switched interconnect (paper Section 5). */
@@ -83,7 +83,7 @@ class DetailedNetModel : public NetModel
                         std::uint32_t reply_bytes) override;
     NetTiming fanOutRoundTrips(
         net::NodeId center,
-        const std::vector<net::NodeId> &targets) override;
+        std::span<const net::NodeId> targets) override;
 
     const net::DetailedNetwork &network() const { return *net_; }
 
@@ -107,7 +107,7 @@ class LogPNetModel : public NetModel
                         std::uint32_t reply_bytes) override;
     NetTiming fanOutRoundTrips(
         net::NodeId center,
-        const std::vector<net::NodeId> &targets) override;
+        std::span<const net::NodeId> targets) override;
 
     const logp::LogPNetwork &network() const { return *net_; }
 

@@ -54,6 +54,7 @@ class TargetMachine : public ComposedMachine
         return dirMem().cacheForTest(n);
     }
     mem::Directory &directoryForTest() { return dirMem().directoryForTest(); }
+    mem::HolderIndex &holdersForTest() { return dirMem().holdersForTest(); }
     /// @}
 
   private:

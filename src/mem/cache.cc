@@ -95,11 +95,15 @@ SetAssocCache::install(BlockId blk, LineState state)
         ++stats_.evictions;
         if (isOwned(slot->state))
             ++stats_.dirtyEvictions;
+        if (holders_ != nullptr)
+            holders_->remove(slot->tag, self_);
     }
     slot->tag = blk;
     slot->state = state;
     slot->lastUse = ++useClock_;
     ++stats_.misses;
+    if (holders_ != nullptr)
+        holders_->add(blk, self_);
 }
 
 void
@@ -107,10 +111,8 @@ SetAssocCache::setState(BlockId blk, LineState state)
 {
     Line *line = find(blk);
     ABSIM_DCHECK(line != nullptr, "setState of absent block " << blk);
-    if (state == LineState::Invalid) {
-        line->state = LineState::Invalid;
-        return;
-    }
+    if (state == LineState::Invalid && holders_ != nullptr)
+        holders_->remove(blk, self_);
     line->state = state;
 }
 
@@ -132,6 +134,8 @@ SetAssocCache::invalidate(BlockId blk)
         return false;
     line->state = LineState::Invalid;
     ++stats_.invalidationsReceived;
+    if (holders_ != nullptr)
+        holders_->remove(blk, self_);
     return true;
 }
 

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "mem/addr.hh"
+#include "mem/holder_index.hh"
 
 namespace absim::mem {
 
@@ -66,6 +67,20 @@ class SetAssocCache
     /** Paper defaults: 64 KB, 2-way, 32 B blocks. */
     SetAssocCache(std::uint32_t capacity_bytes = 64 * 1024,
                   std::uint32_t associativity = 2);
+
+    /**
+     * Report every residency change of this cache to @p index as node
+     * @p self: install (including the victim it overwrites),
+     * setState(..., Invalid) and invalidate.  Attach before the first
+     * install; @p index must outlive the cache.  Caches that are never
+     * attached (the replay engine's) keep no shadow.
+     */
+    void
+    attachHolders(HolderIndex *index, net::NodeId self)
+    {
+        holders_ = index;
+        self_ = self;
+    }
 
     /** State of @p blk, Invalid if absent. Does not touch LRU. */
     LineState stateOf(BlockId blk) const;
@@ -149,6 +164,8 @@ class SetAssocCache
     std::vector<Line> lines_; // sets_ x ways_, row-major by set.
     std::uint64_t useClock_ = 0;
     CacheStats stats_;
+    HolderIndex *holders_ = nullptr;
+    net::NodeId self_ = 0;
 };
 
 } // namespace absim::mem

@@ -254,6 +254,90 @@ TEST(CoherenceChecker, DetectsStaleOracleSharerInLogPC)
     EXPECT_THROW(h.machine->checkInvariants(), check::CheckFailure);
 }
 
+TEST(CoherenceChecker, ForgedCopyTripsTheNextTransitionAtP32)
+{
+    // A copy forged on a non-sharer must be caught by the per-transition
+    // check of the next access to its block, not only by the drain sweep:
+    // the holder shadow lists the forged holder, so the check visits it.
+    for (const auto kind :
+         {mach::MachineKind::Target, mach::MachineKind::LogPC}) {
+        SCOPED_TRACE(mach::toString(kind));
+        test::MachineHarness h(kind, net::TopologyKind::Full, 32);
+        const mem::Addr addr =
+            h.heap.allocate(8, rt::Placement::OnNode, 0);
+        mem::SetAssocCache &forged =
+            kind == mach::MachineKind::Target ? h.target().cacheForTest(5)
+                                              : h.logpc().cacheForTest(5);
+        bool read_returned = false;
+        check::ScopedThrowOnFailure guard;
+        try {
+            h.run([&](rt::Proc &p) {
+                if (p.node() == 0) {
+                    p.memWrite(addr, 8);
+                    forged.install(mem::blockOf(addr),
+                                   mem::LineState::Valid);
+                } else if (p.node() == 1) {
+                    p.computeNs(1'000'000); // Long after the forgery.
+                    p.memRead(addr, 8);
+                    read_returned = true;
+                }
+            });
+            FAIL() << "forged copy went unnoticed";
+        } catch (const check::CheckFailure &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("node 5 holds block"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("without a sharer bit"), std::string::npos)
+                << what;
+        }
+        EXPECT_FALSE(read_returned) << "caught only after the access";
+    }
+}
+
+TEST(CoherenceChecker, DrainSweepReportsShadowDrift)
+{
+    test::MachineHarness h(mach::MachineKind::Target,
+                           net::TopologyKind::Full, 2);
+    const mem::Addr addr = h.heap.allocate(8, rt::Placement::OnNode, 0);
+    h.run([addr](rt::Proc &p) {
+        if (p.node() == 0)
+            p.memWrite(addr, 8);
+    });
+    ASSERT_NO_THROW(h.machine->checkInvariants());
+
+    // The cache still holds the block, but the shadow forgot it.
+    h.target().holdersForTest().remove(mem::blockOf(addr), 0);
+    check::ScopedThrowOnFailure guard;
+    try {
+        h.machine->checkInvariants();
+        FAIL() << "shadow drift went unnoticed";
+    } catch (const check::CheckFailure &e) {
+        EXPECT_NE(std::string(e.what()).find("holder shadow drift"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(CoherenceChecker, DrainSweepReportsLowestBlockFirst)
+{
+    test::MachineHarness h(mach::MachineKind::LogPC,
+                           net::TopologyKind::Full, 2);
+    h.run([](rt::Proc &) {});
+    // Two phantom shadow entries no cache holds: the sweep must name the
+    // lower block whatever order the hash tables store them in.
+    h.logpc().holdersForTest().add(9000, 1);
+    h.logpc().holdersForTest().add(7000, 1);
+    check::ScopedThrowOnFailure guard;
+    try {
+        h.machine->checkInvariants();
+        FAIL() << "phantom holders went unnoticed";
+    } catch (const check::CheckFailure &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("drift on block 7000:"), std::string::npos)
+            << what;
+    }
+}
+
 TEST(CoherenceChecker, CanBeDisabledForForensics)
 {
     test::MachineHarness h(mach::MachineKind::Target,

@@ -9,7 +9,10 @@
  *   (b) the Berkeley/directory invariants on the target machine: single
  *       owner, owner state matches the directory, every resident line is
  *       a registered sharer,
- *   (c) LogP+C's ideal caches respect the same single-writer invariant.
+ *   (c) LogP+C's ideal caches respect the same single-writer invariant,
+ *   (d) on every cached stack, under both protocols, at P = 4 and 32, the
+ *       full checker sweep (cache scan plus holder-shadow equality) passes
+ *       at many quiescent points in the middle of the workload.
  *
  * Each seed is a separate parameterized test case.
  */
@@ -19,6 +22,7 @@
 #include <map>
 
 #include "machine_fixture.hh"
+#include "machines/directory_mem.hh"
 #include "mem/addr.hh"
 #include "sim/rng.hh"
 
@@ -37,11 +41,12 @@ constexpr int kOpsPerProc = 200;
 /** Random workload: per-address increment counts for validation. */
 struct Workload
 {
-    explicit Workload(std::uint64_t seed)
+    explicit Workload(std::uint64_t seed, std::uint32_t procs = kProcs)
+        : ops(procs)
     {
         expected.assign(kWords, 0);
         sim::Rng plan(seed);
-        for (std::uint32_t proc = 0; proc < kProcs; ++proc) {
+        for (std::uint32_t proc = 0; proc < procs; ++proc) {
             for (int i = 0; i < kOpsPerProc; ++i) {
                 Op op;
                 op.kind = static_cast<int>(plan.below(3));
@@ -69,28 +74,35 @@ struct Workload
         std::uint64_t compute;
     };
 
-    std::vector<Op> ops[kProcs];
+    std::vector<std::vector<Op>> ops; // Per processor.
     std::vector<std::uint64_t> expected;
 };
+
+/** Issue one workload op on @p p. */
+void
+issue(rt::Proc &p, rt::SharedArray<std::uint64_t> &words,
+      const Workload::Op &op)
+{
+    switch (op.kind) {
+      case 0:
+        words.read(p, op.addr);
+        break;
+      case 1:
+        words.write(p, op.addr, 0x55);
+        break;
+      default:
+        words.fetchAdd(p, op.addr, 1);
+    }
+    p.compute(op.compute);
+}
 
 void
 runWorkload(MachineHarness &h, rt::SharedArray<std::uint64_t> &words,
             const Workload &load)
 {
     h.run([&](rt::Proc &p) {
-        for (const auto &op : load.ops[p.node()]) {
-            switch (op.kind) {
-              case 0:
-                words.read(p, op.addr);
-                break;
-              case 1:
-                words.write(p, op.addr, 0x55);
-                break;
-              default:
-                words.fetchAdd(p, op.addr, 1);
-            }
-            p.compute(op.compute);
-        }
+        for (const auto &op : load.ops[p.node()])
+            issue(p, words, op);
     });
 }
 
@@ -128,19 +140,8 @@ TEST_P(CoherenceProperty, MsiProtocolCountsAllIncrementsToo)
     for (std::size_t i = 0; i < kWords; ++i)
         words.raw(i) = 0;
     runtime.spawn([&](rt::Proc &p) {
-        for (const auto &op : load.ops[p.node()]) {
-            switch (op.kind) {
-              case 0:
-                words.read(p, op.addr);
-                break;
-              case 1:
-                words.write(p, op.addr, 0x55);
-                break;
-              default:
-                words.fetchAdd(p, op.addr, 1);
-            }
-            p.compute(op.compute);
-        }
+        for (const auto &op : load.ops[p.node()])
+            issue(p, words, op);
     });
     runtime.run();
     for (std::size_t i = 0; i < kWords / 2; ++i)
@@ -223,6 +224,91 @@ TEST_P(CoherenceProperty, IdealCacheSingleWriterInvariant)
         EXPECT_EQ(d, 1) << "block " << blk;
         EXPECT_EQ(copies[blk], 1)
             << "Dirty block " << blk << " has other copies";
+    }
+}
+
+/**
+ * True if no protocol transition is in flight, so every block must pass
+ * the full sweep.  Ideal-cache transitions never straddle a yield; a
+ * directory transition is in flight exactly while its home lock is held.
+ */
+bool
+quiescent(const mach::Machine &machine)
+{
+    const auto *dir = dynamic_cast<const mach::DirectoryMem *>(
+        &dynamic_cast<const mach::ComposedMachine &>(machine).memModel());
+    if (dir == nullptr)
+        return true;
+    bool idle = true;
+    dir->directory().forEach(
+        [&idle](mem::BlockId, const mem::DirectoryEntry &entry) {
+            idle = idle && !entry.lock.locked();
+        });
+    return idle;
+}
+
+TEST_P(CoherenceProperty, FullSweepHoldsMidWorkload)
+{
+    for (const std::uint32_t procs : {4u, 32u}) {
+        const Workload load(GetParam(), procs);
+        for (const auto protocol :
+             {mach::ProtocolKind::Berkeley, mach::ProtocolKind::Msi}) {
+            for (const auto kind :
+                 {MachineKind::Target, MachineKind::LogPC,
+                  MachineKind::TargetIC, MachineKind::LogPDir}) {
+                SCOPED_TRACE(mach::toString(kind) + " P=" +
+                             std::to_string(procs) +
+                             (protocol == mach::ProtocolKind::Msi
+                                  ? " msi"
+                                  : " berkeley"));
+                sim::EventQueue eq;
+                rt::SharedHeap heap(procs);
+                const auto machine = mach::makeMachine(
+                    kind, eq, TopologyKind::Mesh2D, procs, heap,
+                    logp::GapPolicy::Single, {}, protocol);
+                rt::Runtime runtime(eq, *machine, procs);
+                rt::SharedArray<std::uint64_t> words(
+                    heap, kWords, rt::Placement::Interleaved);
+                for (std::size_t i = 0; i < kWords; ++i)
+                    words.raw(i) = 0;
+                // Every processor issues its ops in contended bursts of
+                // kBurst, all bursts of a round starting together.  Halfway
+                // through each round, after the bursts have drained, one
+                // processor syncs to the engine and sweeps the machine.
+                constexpr std::size_t kBurst = 8;
+                constexpr sim::Tick kRoundNs = 20'000'000;
+                const auto idle_until = [](rt::Proc &p, sim::Tick t) {
+                    if (p.localTime() < t)
+                        p.computeNs(t - p.localTime());
+                };
+                std::uint64_t sweeps = 0;
+                runtime.spawn([&](rt::Proc &p) {
+                    const auto &ops = load.ops[p.node()];
+                    for (std::size_t i = 0; i < ops.size(); ++i) {
+                        issue(p, words, ops[i]);
+                        if (i % kBurst != kBurst - 1)
+                            continue;
+                        const std::size_t round = i / kBurst;
+                        const sim::Tick next = (round + 1) * kRoundNs;
+                        if (round % procs == p.node()) {
+                            idle_until(p, next - kRoundNs / 2);
+                            p.syncToEngine();
+                            if (quiescent(*machine)) {
+                                machine->checkInvariants();
+                                ++sweeps;
+                            }
+                        }
+                        idle_until(p, next);
+                    }
+                });
+                runtime.run();
+                for (std::size_t i = 0; i < kWords / 2; ++i)
+                    ASSERT_EQ(words.raw(i), load.expected[i])
+                        << "word " << i;
+                // 25 rounds; a burst may rarely overrun half a round.
+                EXPECT_GE(sweeps, 20u);
+            }
+        }
     }
 }
 
