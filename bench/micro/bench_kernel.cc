@@ -14,16 +14,22 @@
 ///   far_schedule_ns      mixed near/far ticks (exercises the overflow
 ///                        tier of the calendar queue)
 ///   fiber_switch_ns      one resume+yield round trip
+///   delay_in_place_ns    Process::delay in a ring of 32 processes whose
+///                        delays mostly resume strictly before every
+///                        other pending event (advanced in place)
 ///   dirmem_access_ns     host cost per memory access of a full IS run
 ///                        on the detailed target machine (DirectoryMem)
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "bench_common.hh"
 #include "check/check.hh"
 #include "core/experiment.hh"
 #include "sim/event_queue.hh"
 #include "sim/fiber.hh"
+#include "sim/process.hh"
 
 namespace {
 
@@ -31,6 +37,7 @@ using absim::bench::MicroSuite;
 using absim::bench::wallNow;
 using absim::sim::EventQueue;
 using absim::sim::Fiber;
+using absim::sim::Process;
 using absim::sim::Tick;
 
 /// Self-rescheduling chains: kChains events alive at once, each hop
@@ -104,6 +111,41 @@ fiberSwitch(std::uint64_t switches)
     return elapsed * 1e9 / static_cast<double>(switches);
 }
 
+/// A ring of kRing processes taking turns: in each turn a process makes
+/// kBurst - 1 one-tick delays, each strictly earliest (in place), then
+/// one long delay that lands on its next turn (queued, with a switch).
+/// Returns ns per delay; the dispatch count is exact.
+double
+delayInPlace(std::uint64_t rounds, MicroSuite &suite)
+{
+    constexpr std::uint64_t kRing = 32;
+    constexpr Tick kBurst = 8;
+    EventQueue eq;
+    std::vector<std::unique_ptr<Process>> ring;
+    for (std::uint64_t i = 0; i < kRing; ++i) {
+        ring.push_back(std::make_unique<Process>(eq, "ring", [rounds] {
+            Process *self = Process::current();
+            for (std::uint64_t r = 0; r < rounds; ++r) {
+                for (Tick b = 1; b < kBurst; ++b)
+                    self->delay(1);
+                self->delay(kRing * kBurst - (kBurst - 1));
+            }
+        }));
+        ring.back()->start(i * kBurst);
+    }
+    const double begin = wallNow();
+    eq.run();
+    const double elapsed = wallNow() - begin;
+    const std::uint64_t delays = kRing * rounds * kBurst;
+    ABSIM_CHECK(eq.dispatched() == kRing + delays,
+                "delay ring dispatched " << eq.dispatched()
+                                         << " events, expected "
+                                         << kRing + delays);
+    suite.setCounter("engine_events",
+                     static_cast<double>(eq.dispatched()));
+    return elapsed * 1e9 / static_cast<double>(delays);
+}
+
 } // namespace
 
 int
@@ -133,6 +175,12 @@ main(int argc, char **argv)
     suite.setCounter("switches", static_cast<double>(switches));
     suite.run("fiber_switch_ns", "ns/switch", false,
               [&] { return fiberSwitch(switches); });
+
+    // ~1M delays at the default scale, 7 of 8 of them in place.
+    const std::uint64_t ring_rounds =
+        std::max<std::uint64_t>(1, chain_events / (2 * 32 * 8));
+    suite.run("delay_in_place_ns", "ns/delay", false,
+              [&] { return delayInPlace(ring_rounds, suite); });
 
     // Full IS run on the detailed target machine: DirectoryMem owns the
     // op path.  Per-access host cost folds in the queue, fibers and the

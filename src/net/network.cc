@@ -12,6 +12,17 @@ DetailedNetwork::DetailedNetwork(sim::EventQueue &eq,
     links_.reserve(topo_->linkCount());
     for (std::uint32_t i = 0; i < topo_->linkCount(); ++i)
         links_.push_back(std::make_unique<sim::FifoMutex>());
+    // P^2 routes: for the largest machine (an 8x8 mesh) under 100 KB.
+    const NodeId p = topo_->nodes();
+    routeBegin_.reserve(static_cast<std::size_t>(p) * p + 1);
+    routeBegin_.push_back(0);
+    for (NodeId src = 0; src < p; ++src)
+        for (NodeId dst = 0; dst < p; ++dst) {
+            if (src != dst)
+                topo_->route(src, dst, routeLinks_);
+            routeBegin_.push_back(
+                static_cast<std::uint32_t>(routeLinks_.size()));
+        }
 }
 
 TransferResult
@@ -23,14 +34,13 @@ DetailedNetwork::transfer(NodeId src, NodeId dst, std::uint32_t bytes)
     sim::Process *self = sim::Process::current();
     ABSIM_CHECK(self != nullptr, "transfer outside a simulated process");
 
-    std::vector<LinkId> path;
-    topo_->route(src, dst, path);
+    const std::span<const LinkId> route = path(src, dst);
 
     TransferResult result;
     // Circuit set-up: grab links in route order.  Holding earlier links
     // while waiting for later ones is exactly wormhole/circuit behaviour
     // and is deadlock-free under dimension-ordered routing.
-    for (LinkId link : path)
+    for (LinkId link : route)
         result.contention += links_[link]->acquire();
 
     // Whole circuit held for the serial transmission time; switching
@@ -38,7 +48,7 @@ DetailedNetwork::transfer(NodeId src, NodeId dst, std::uint32_t bytes)
     result.latency = transmissionTime(bytes);
     self->delay(result.latency);
 
-    for (auto it = path.rbegin(); it != path.rend(); ++it)
+    for (auto it = route.rbegin(); it != route.rend(); ++it)
         links_[*it]->release();
 
     ++stats_.messages;

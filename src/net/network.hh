@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "net/topology.hh"
@@ -78,12 +79,27 @@ class DetailedNetwork
         return bytes * kNsPerByte;
     }
 
+    /** The links a message from @p src to @p dst takes, in order:
+     *  Topology::route(), tabulated once at construction. */
+    std::span<const LinkId>
+    path(NodeId src, NodeId dst) const
+    {
+        const std::size_t pair =
+            static_cast<std::size_t>(src) * topo_->nodes() + dst;
+        return {routeLinks_.data() + routeBegin_[pair],
+                routeLinks_.data() + routeBegin_[pair + 1]};
+    }
+
     const Topology &topology() const { return *topo_; }
     const NetworkStats &stats() const { return stats_; }
 
   private:
     sim::EventQueue &eq_;
     std::unique_ptr<Topology> topo_;
+    /** Flat route table: the route of pair (src, dst) is
+     *  routeLinks_[routeBegin_[src * P + dst], routeBegin_[... + 1]). */
+    std::vector<std::uint32_t> routeBegin_;
+    std::vector<LinkId> routeLinks_;
     std::vector<std::unique_ptr<sim::FifoMutex>> links_;
     NetworkStats stats_;
 };

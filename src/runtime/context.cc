@@ -215,6 +215,8 @@ Runtime::spawn(std::function<void(Proc &)> body)
                 // capture and rethrow from run() on the scheduler stack.
                 try {
                     body(*proc);
+                } catch (const sim::FiberUnwind &) {
+                    throw; // Torn down while blocked: not a failure.
                 } catch (...) {
                     if (!workerError_)
                         workerError_ = std::current_exception();

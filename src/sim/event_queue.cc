@@ -21,6 +21,14 @@ EventQueue::EventQueue()
 
 EventQueue::~EventQueue()
 {
+    // Detached helpers delete themselves when they finish; free those a
+    // stopped or failed run left blocked (which unwinds their fibers).
+    std::vector<Process *> orphans;
+    for (Process *p : processes_)
+        if (p->detached())
+            orphans.push_back(p);
+    for (Process *p : orphans)
+        delete p;
     // Destroy the callables of every still-pending event (requestStop
     // and thrown budgets leave the queue populated).  Node memory is
     // owned by blocks_ and freed with it.
@@ -68,9 +76,23 @@ EventQueue::blockedProcesses() const
     return out;
 }
 
+bool
+EventQueue::budgetActsNext() const
+{
+    return (budget_.maxEvents != 0 && dispatched_ >= budget_.maxEvents) ||
+           (budget_.stallDispatchLimit != 0 &&
+            dispatched_ - lastProgressDispatch_ >=
+                budget_.stallDispatchLimit) ||
+           (budget_.maxWallSeconds > 0.0 && (dispatched_ & 0x3ff) == 0);
+}
+
 void
 EventQueue::enforceBudget()
 {
+    // One definition of "a check acts here", shared with the in-place
+    // advance, which must refuse exactly where a check below would act.
+    if (!budgetActsNext())
+        return;
     if (budget_.maxEvents != 0 && dispatched_ >= budget_.maxEvents) {
         std::ostringstream oss;
         oss << "event budget exceeded: " << dispatched_ << " events "
@@ -396,8 +418,35 @@ EventQueue::run()
 }
 
 bool
+EventQueue::tryAdvanceInPlace(Tick when)
+{
+    if (stopRequested_ || when > runLimit_ || fault::armed() ||
+        budgetActsNext() ||
+        (budget_.maxSimTime != 0 && when > budget_.maxSimTime))
+        return false;
+    if (size_ != 0 && when >= peekNext()->when)
+        return false;
+    // What schedule() + run() + dispatch() would have done for the
+    // resume event, minus the node, the queue and the fiber switch.
+    ++nextSeq_;
+    if (when > now_)
+        lastProgressDispatch_ = dispatched_;
+    now_ = when;
+    ++dispatched_;
+    return true;
+}
+
+bool
 EventQueue::runUntil(Tick limit)
 {
+    // Record the limit so a process advancing in place never passes it.
+    struct LimitScope
+    {
+        Tick &slot;
+        Tick saved;
+        ~LimitScope() { slot = saved; }
+    } scope{runLimit_, runLimit_};
+    runLimit_ = limit;
     while (size_ != 0 && !stopRequested_) {
         enforceBudget();
         const EventNode *next = peekNext();

@@ -107,6 +107,24 @@ class EventQueue
      */
     bool runUntil(Tick limit);
 
+    /**
+     * Take the dispatch of a resume at @p when in place, without
+     * queueing it.
+     *
+     * Called by a running process about to block until @p when (see
+     * Process::delayUntil).  If that resume would be the engine's very
+     * next dispatch — @p when lies strictly before every pending event,
+     * inside the active runUntil() limit — and no stop request, armed
+     * fault plan or budget check would act on it, this does exactly the
+     * bookkeeping run() would do for the event (sequence number, stall
+     * progress mark, clock, dispatch count) and returns true: the
+     * caller just carries on, at the new time.  Otherwise it changes
+     * nothing and returns false, and the caller schedules the resume
+     * as usual.  A tie with a pending event always queues, because the
+     * earlier-scheduled event wins on sequence number.
+     */
+    bool tryAdvanceInPlace(Tick when);
+
     /** Current simulated time. */
     Tick now() const { return now_; }
 
@@ -281,6 +299,10 @@ class EventQueue
     /** Throw if the budget (events / wall clock / stall) has tripped. */
     void enforceBudget();
 
+    /** True if enforceBudget() would throw or sample the wall clock
+     *  before the next dispatch. */
+    bool budgetActsNext() const;
+
     /** One link of the StallQueue fault-injection chain. */
     void stallStep();
 
@@ -315,6 +337,8 @@ class EventQueue
 
     RunBudget budget_;
     bool stopRequested_ = false;
+    /** Limit of the enclosing runUntil() (kTickMax under run()). */
+    Tick runLimit_ = kTickMax;
     /** dispatched() value at the last simulated-clock advance. */
     std::uint64_t lastProgressDispatch_ = 0;
     bool wallArmed_ = false;

@@ -129,11 +129,26 @@ Fiber::Fiber(std::function<void()> entry, std::size_t stack_bytes)
 
 Fiber::~Fiber()
 {
-    // A fiber destroyed mid-flight simply abandons its execution state;
-    // its stack memory is still recyclable.
+    // A fiber destroyed mid-flight (its run stopped or failed while it
+    // was blocked) is resumed once to unwind its frames, so heap memory
+    // they own is freed.  One with a clobbered stack, or destroyed from
+    // inside another fiber, is abandoned as it stands; its stack memory
+    // is still recyclable either way.
+    if (started_ && !finished_ && tl_current == nullptr &&
+        canaryIntact()) {
+        cancelRequested_ = true;
+        resume();
+    }
     check::tsanDestroyFiber(tsanFiber_);
     FiberStackPool::forThisThread().recycle(std::move(stack_),
                                             stackBytes_);
+}
+
+bool
+Fiber::canaryIntact() const
+{
+    return std::memcmp(stack_.get(), &kStackCanary,
+                       sizeof(kStackCanary)) == 0;
 }
 
 void
@@ -218,7 +233,11 @@ Fiber::trampoline()
     // and learn the scheduler stack's bounds for the switches back.
     check::annotateSwitchFinish(nullptr, &self->switchFromBottom_,
                                 &self->switchFromSize_);
-    self->entry_();
+    try {
+        self->entry_();
+    } catch (const FiberUnwind &) {
+        // Destroyed while blocked: the frames are unwound; finish.
+    }
     self->finished_ = true;
     // Return to the resumer for good.  The nullptr handle tells ASan
     // this stack is abandoned.
@@ -273,6 +292,8 @@ Fiber::yield()
                                 &self->switchFromSize_);
     // Resumed again.
     ABSIM_DCHECK(tl_current == self, "resume handshake out of sync");
+    if (self->cancelRequested_) [[unlikely]]
+        throw FiberUnwind{};
 }
 
 Fiber *

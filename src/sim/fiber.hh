@@ -83,12 +83,29 @@ class FiberStackPool
 };
 
 /**
+ * The exception Fiber::yield() throws inside a fiber destroyed while
+ * blocked, to unwind its frames so that what they own is freed.  Only
+ * the fiber trampoline catches it; code on a fiber that catches every
+ * exception must rethrow this one.
+ */
+class FiberUnwind
+{
+  private:
+    friend class Fiber;
+    FiberUnwind() = default;
+};
+
+/**
  * A single cooperative fiber with its own stack.
  *
  * The fiber starts executing its entry function on the first resume() and
  * must eventually return from it; after that it is finished() and may not
  * be resumed again.  Inside the entry function, Fiber::yield() suspends
  * the fiber and returns control to whoever called resume().
+ *
+ * Destroying a fiber that is blocked in yield() unwinds it: the fiber
+ * is resumed once, its yield() throws FiberUnwind, and the frames'
+ * destructors run on the way back to the trampoline.
  */
 class Fiber
 {
@@ -124,6 +141,13 @@ class Fiber
     bool finished() const { return finished_; }
 
     /**
+     * Verify the canary word at the overflow end of the stack.  Runs on
+     * every switch out of the fiber, and when a process advances its
+     * clock in place without switching (Process::delayUntil).
+     */
+    void checkCanary() const;
+
+    /**
      * Clobber the stack-overflow canary, simulating an overflow without
      * undefined behaviour.  Test-only: the next canary check fires.
      */
@@ -132,8 +156,8 @@ class Fiber
   private:
     static void trampoline();
 
-    /** Verify the canary word at the overflow end of the stack. */
-    void checkCanary() const;
+    /** The canary word is intact (checkCanary() without the check). */
+    bool canaryIntact() const;
 
     /** Prepare the suspended context for the first switch in. */
     void initContext();
@@ -160,6 +184,8 @@ class Fiber
 #endif
     bool started_ = false;
     bool finished_ = false;
+    /** Set at teardown: the next return from yield() unwinds. */
+    bool cancelRequested_ = false;
 
     /**
      * Bounds of the stack this fiber last switched from, captured by the

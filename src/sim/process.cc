@@ -103,6 +103,12 @@ Process::delayUntil(Tick when)
     ABSIM_CHECK(when >= eq_.now(),
                 "process \"" << name_ << "\" delayed into the past ("
                     << when << " < " << eq_.now() << ")");
+    // The resume would be the engine's next dispatch: take it here and
+    // keep running, with no queue round trip and no fiber switch.
+    if (eq_.tryAdvanceInPlace(when)) {
+        fiber_.checkCanary();
+        return;
+    }
     scheduleResume(when);
     state_ = ProcState::Delayed;
     delayedUntil_ = when;
@@ -148,6 +154,7 @@ spawnDetached(EventQueue &eq, std::string name, std::function<void()> entry,
               Tick when)
 {
     auto *proc = new Process(eq, std::move(name), std::move(entry));
+    proc->detached_ = true;
     proc->setOnFinish([](Process *p) { delete p; });
     proc->start(when);
     return proc;

@@ -153,6 +153,10 @@ class Process
 
     const std::string &name() const { return name_; }
     bool finished() const { return fiber_.finished(); }
+
+    /** True for a spawnDetached() helper: it owns itself, and the
+     *  engine deletes it if it is still unfinished at teardown. */
+    bool detached() const { return detached_; }
     EventQueue &engine() { return eq_; }
 
     /** @name Watchdog diagnostics. */
@@ -167,6 +171,9 @@ class Process
     /// @}
 
   private:
+    friend Process *spawnDetached(EventQueue &eq, std::string name,
+                                  std::function<void()> entry, Tick when);
+
     void scheduleResume(Tick when);
 
     EventQueue &eq_;
@@ -176,6 +183,7 @@ class Process
     ProcState state_ = ProcState::Created;
     WaitReason waitReason_;
     Tick delayedUntil_ = 0;
+    bool detached_ = false;
     std::function<void(Process *)> onFinish_;
 };
 

@@ -432,7 +432,10 @@ class REngine
 };
 
 /** co_await EngineAt{eng, t}: mirror of Process::delayUntil(t) — always
- *  schedules one resume event, even for t == now. */
+ *  schedules one resume event, even for t == now.  Execution counts the
+ *  same dispatch but, when that resume is strictly the next event,
+ *  advances the clock in place instead of queueing it
+ *  (EventQueue::tryAdvanceInPlace); counts and order are identical. */
 struct EngineAt
 {
     REngine &eng;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include "lint.hh"
 
@@ -360,8 +361,10 @@ TEST(LintJson, DecodeRejectsMalformedDocuments)
 int
 runBinary(const std::string &args, std::string *captured)
 {
-    const std::string outPath =
-        std::string(::testing::TempDir()) + "absim_lint_out.json";
+    // One file per test process: ctest -j runs these tests side by side.
+    const std::string outPath = std::string(::testing::TempDir()) +
+                                "absim_lint_out." +
+                                std::to_string(::getpid()) + ".json";
     const std::string command = std::string(ABSIM_LINT_BIN) + " " + args +
                                 " > " + outPath + " 2>&1";
     const int status = std::system(command.c_str());

@@ -118,8 +118,8 @@ TEST(QuadrantMachines, TargetIcComposesDetailedNetAndIdealCache)
 {
     MachineHarness h(MachineKind::TargetIC, TopologyKind::Mesh2D, 4);
     EXPECT_EQ(h.machine->kind(), MachineKind::TargetIC);
-    EXPECT_EQ(h.machine->netModelName(), "detailed");
-    EXPECT_EQ(h.machine->memModelName(), "ideal");
+    EXPECT_STREQ(h.machine->netModelName(), "detailed");
+    EXPECT_STREQ(h.machine->memModelName(), "ideal");
     const mem::Addr base =
         h.heap.allocate(64 * 8, rt::Placement::Interleaved);
     h.run([base](rt::Proc &p) { contendedWorkload(p, base, 64); });
@@ -135,8 +135,8 @@ TEST(QuadrantMachines, LogPDirComposesLogPNetAndRealDirectory)
 {
     MachineHarness h(MachineKind::LogPDir, TopologyKind::Full, 4);
     EXPECT_EQ(h.machine->kind(), MachineKind::LogPDir);
-    EXPECT_EQ(h.machine->netModelName(), "logp");
-    EXPECT_EQ(h.machine->memModelName(), "directory");
+    EXPECT_STREQ(h.machine->netModelName(), "logp");
+    EXPECT_STREQ(h.machine->memModelName(), "directory");
     const mem::Addr base =
         h.heap.allocate(64 * 8, rt::Placement::Interleaved);
     h.run([base](rt::Proc &p) { contendedWorkload(p, base, 64); });

@@ -157,4 +157,30 @@ TEST(DetailedNetwork, ManyConcurrentTransfersDrainDeadlockFree)
     }
 }
 
+TEST(DetailedNetwork, RouteTableMatchesTopologyRoute)
+{
+    // The flat table transfer() walks must be Topology::route(), pair
+    // for pair; local pairs have an empty path.
+    for (const auto kind : {TopologyKind::Full, TopologyKind::Hypercube,
+                            TopologyKind::Mesh2D}) {
+        for (const NodeId p : {4u, 16u, 32u, 64u}) {
+            sim::EventQueue eq;
+            DetailedNetwork net(eq, Topology::make(kind, p));
+            std::vector<net::LinkId> expect;
+            for (NodeId src = 0; src < p; ++src)
+                for (NodeId dst = 0; dst < p; ++dst) {
+                    expect.clear();
+                    if (src != dst)
+                        net.topology().route(src, dst, expect);
+                    const auto path = net.path(src, dst);
+                    ASSERT_EQ(std::vector<net::LinkId>(path.begin(),
+                                                       path.end()),
+                              expect)
+                        << net::toString(kind) << " P=" << p << " "
+                        << src << "->" << dst;
+                }
+        }
+    }
+}
+
 } // namespace

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "check/check.hh"
+#include "fault/fault.hh"
 #include "sim/event_queue.hh"
 #include "sim/fiber.hh"
 #include "sim/process.hh"
@@ -277,6 +280,287 @@ TEST(Latch, AwaitWithZeroCountReturnsImmediately)
     p.start(0);
     eq.run();
     EXPECT_TRUE(done);
+}
+
+// ---------------------------------------------------------------------------
+// In-place advance.  A delaying process whose resume would be the
+// engine's very next dispatch keeps running: no queued event, no fiber
+// switch (EventQueue::tryAdvanceInPlace).  Each test pins what an
+// engine that queues every resume does, which the advance must keep;
+// tests/test_process_diff.cc compares whole random programs.
+// ---------------------------------------------------------------------------
+
+TEST(InPlaceAdvance, EqualTickTieStillYieldsInFifoOrder)
+{
+    EventQueue eq;
+    std::vector<std::string> order;
+    const auto note = [&](const char *who) {
+        order.push_back(std::string(who) + "@" + std::to_string(eq.now()));
+    };
+    eq.schedule(10, [&] { note("event"); });
+    Process a(eq, "a", [&] {
+        Process::current()->delay(10); // Ties with "event": queues behind.
+        note("a");
+        Process::current()->delay(5); // Ties with b's earlier resume.
+        note("a");
+    });
+    Process b(eq, "b", [&] {
+        Process::current()->delay(15);
+        note("b");
+    });
+    a.start(0);
+    b.start(0);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"event@10", "a@10", "b@15",
+                                               "a@15"}));
+    EXPECT_EQ(eq.dispatched(), 6u);
+}
+
+TEST(InPlaceAdvance, EventBudgetTripsAtTheSameDispatchWithTheSameDump)
+{
+    EventQueue eq;
+    RunBudget budget;
+    budget.maxEvents = 100;
+    eq.setBudget(budget);
+    Process spinner(eq, "spinner", [] {
+        for (;;)
+            Process::current()->delay(1);
+    });
+    Process sleeper(eq, "sleeper",
+                    [] { Process::current()->suspend("never woken"); });
+    spinner.start(0);
+    sleeper.start(0);
+    try {
+        eq.run();
+        FAIL() << "expected BudgetExceededError";
+    } catch (const BudgetExceededError &e) {
+        // Dispatch 1 is spinner's start, 2 sleeper's, then one per tick.
+        EXPECT_EQ(e.eventsDispatched(), 100u);
+        EXPECT_EQ(e.simTime(), 98u);
+        ASSERT_EQ(e.blocked().size(), 2u);
+        EXPECT_EQ(e.blocked()[0].name, "spinner");
+        EXPECT_EQ(e.blocked()[0].state, "delayed");
+        EXPECT_EQ(e.blocked()[0].delayedUntil, 99u);
+        EXPECT_EQ(e.blocked()[1].name, "sleeper");
+        EXPECT_EQ(e.blocked()[1].state, "suspended");
+        EXPECT_EQ(e.blocked()[1].waitReason, "never woken");
+    }
+    // The tripping resume stays queued, as the dump says.
+    EXPECT_EQ(eq.pending(), 1u);
+    EXPECT_EQ(spinner.state(), ProcState::Delayed);
+}
+
+TEST(InPlaceAdvance, StallWatchdogTripsAtTheSameDispatchWithTheSameDump)
+{
+    EventQueue eq;
+    RunBudget budget;
+    budget.stallDispatchLimit = 50;
+    eq.setBudget(budget);
+    Process spinner(eq, "spinner", [] {
+        for (;;)
+            Process::current()->delay(0);
+    });
+    Process sleeper(eq, "sleeper",
+                    [] { Process::current()->suspend("never woken"); });
+    spinner.start(0);
+    sleeper.start(0);
+    try {
+        eq.run();
+        FAIL() << "expected DeadlockError";
+    } catch (const DeadlockError &e) {
+        EXPECT_EQ(e.eventsDispatched(), 50u);
+        EXPECT_EQ(e.simTime(), 0u);
+        EXPECT_NE(std::string(e.what()).find(
+                      "no sim-time progress for 50 dispatches"),
+                  std::string::npos)
+            << e.what();
+        ASSERT_EQ(e.blocked().size(), 2u);
+        EXPECT_EQ(e.blocked()[0].state, "delayed");
+        EXPECT_EQ(e.blocked()[0].delayedUntil, 0u);
+        EXPECT_EQ(e.blocked()[1].state, "suspended");
+    }
+    EXPECT_EQ(eq.pending(), 1u);
+}
+
+TEST(InPlaceAdvance, SimTimeAndWallClockBudgetsTripAsBefore)
+{
+    {
+        EventQueue eq;
+        RunBudget budget;
+        budget.maxSimTime = 100;
+        eq.setBudget(budget);
+        Process p(eq, "p", [] {
+            for (;;)
+                Process::current()->delay(30);
+        });
+        p.start(0);
+        try {
+            eq.run();
+            FAIL() << "expected BudgetExceededError";
+        } catch (const BudgetExceededError &e) {
+            // Resumes at 30, 60, 90 fire; the one at 120 must not.
+            EXPECT_EQ(e.eventsDispatched(), 4u);
+            EXPECT_EQ(e.simTime(), 90u);
+            EXPECT_EQ(e.blocked().at(0).delayedUntil, 120u);
+        }
+    }
+    {
+        EventQueue eq;
+        RunBudget budget;
+        budget.maxWallSeconds = 1e-9; // Expires by the next sample.
+        eq.setBudget(budget);
+        Process p(eq, "p", [] {
+            for (;;)
+                Process::current()->delay(1);
+        });
+        p.start(0);
+        try {
+            eq.run();
+            FAIL() << "expected BudgetExceededError";
+        } catch (const BudgetExceededError &e) {
+            // The clock is sampled every 1024 dispatches: armed at 0,
+            // expired at 1024.
+            EXPECT_EQ(e.eventsDispatched(), 1024u);
+            EXPECT_EQ(e.simTime(), 1023u);
+        }
+    }
+}
+
+TEST(InPlaceAdvance, RunUntilLeavesAResumePastTheLimitDelayed)
+{
+    EventQueue eq;
+    std::vector<Tick> seen;
+    Process p(eq, "p", [&] {
+        for (int i = 0; i < 4; ++i) {
+            Process::current()->delay(10);
+            seen.push_back(eq.now());
+        }
+    });
+    p.start(0);
+    EXPECT_FALSE(eq.runUntil(25));
+    EXPECT_EQ(seen, (std::vector<Tick>{10, 20}));
+    EXPECT_EQ(p.state(), ProcState::Delayed);
+    EXPECT_EQ(p.delayedUntil(), 30u);
+    EXPECT_EQ(eq.now(), 20u);
+    EXPECT_EQ(eq.pending(), 1u);
+    EXPECT_EQ(eq.dispatched(), 3u);
+
+    EXPECT_TRUE(eq.runUntil(100));
+    EXPECT_EQ(seen, (std::vector<Tick>{10, 20, 30, 40}));
+    EXPECT_EQ(eq.dispatched(), 5u);
+    EXPECT_TRUE(p.finished());
+}
+
+TEST(InPlaceAdvance, RequestStopIsHonoured)
+{
+    EventQueue eq;
+    int steps = 0;
+    Process p(eq, "p", [&] {
+        for (;;) {
+            Process::current()->delay(1);
+            if (++steps == 5)
+                eq.requestStop();
+        }
+    });
+    p.start(0);
+    eq.run();
+    EXPECT_EQ(steps, 5);
+    EXPECT_EQ(p.state(), ProcState::Delayed);
+    EXPECT_EQ(p.delayedUntil(), 6u);
+    EXPECT_EQ(eq.now(), 5u);
+    EXPECT_EQ(eq.pending(), 1u);
+    EXPECT_EQ(eq.dispatched(), 6u);
+}
+
+TEST(InPlaceAdvance, ArmedStallFaultStillTripsTheStallWatchdog)
+{
+    absim::fault::ScopedPlan scoped(absim::fault::Plan::parse("stall@20"));
+    EventQueue eq;
+    RunBudget budget;
+    budget.stallDispatchLimit = 100;
+    eq.setBudget(budget);
+    Process p(eq, "p", [] {
+        for (;;)
+            Process::current()->delay(1);
+    });
+    p.start(0);
+    try {
+        eq.run();
+        FAIL() << "expected DeadlockError";
+    } catch (const DeadlockError &e) {
+        // Dispatch 20 (the resume at 19) starts the zero-delay chain;
+        // the clock stays at 19 for the next 100 dispatches.
+        EXPECT_EQ(e.eventsDispatched(), 119u);
+        EXPECT_EQ(e.simTime(), 19u);
+    }
+    EXPECT_EQ(absim::fault::injector().fired(absim::fault::Kind::StallQueue),
+              1u);
+}
+
+TEST(InPlaceAdvance, CorruptedCanaryIsCaughtWithoutASwitch)
+{
+    absim::check::ScopedThrowOnFailure guard;
+    EventQueue eq;
+    bool caught = false;
+    std::size_t pending_at_catch = 99;
+    Process p(eq, "p", [&] {
+        Fiber::current()->corruptStackCanaryForTest();
+        try {
+            Process::current()->delay(5); // Strictly earliest: in place.
+        } catch (const absim::check::CheckFailure &) {
+            caught = true;
+            pending_at_catch = eq.pending();
+        }
+    });
+    p.start(0);
+    // The fiber returns with its canary still clobbered: the scheduler
+    // side of that last switch fails too.
+    EXPECT_THROW(eq.run(), absim::check::CheckFailure);
+    EXPECT_TRUE(caught);
+    EXPECT_EQ(pending_at_catch, 0u); // No resume was queued.
+    EXPECT_EQ(eq.now(), 5u);
+}
+
+/** Counts its destruction: shows whether a blocked frame was unwound. */
+struct Tracked
+{
+    int *destroyed;
+    ~Tracked() { ++*destroyed; }
+};
+
+TEST(FiberTeardown, DestroyingABlockedFiberUnwindsItsFrames)
+{
+    int destroyed = 0;
+    bool resumed_past_yield = false;
+    {
+        Fiber f([&] {
+            Tracked t{&destroyed};
+            Fiber::yield();
+            resumed_past_yield = true;
+        });
+        f.resume();
+        EXPECT_EQ(destroyed, 0);
+    }
+    EXPECT_EQ(destroyed, 1);
+    EXPECT_FALSE(resumed_past_yield);
+}
+
+TEST(FiberTeardown, EngineFreesDetachedHelpersLeftBlocked)
+{
+    int destroyed = 0;
+    {
+        Condition never; // Outlives the engine that unwinds waiters.
+        EventQueue eq;
+        for (int i = 0; i < 3; ++i)
+            spawnDetached(eq, "helper", [&] {
+                Tracked t{&destroyed};
+                never.wait();
+            }, 0);
+        eq.run();
+        EXPECT_EQ(destroyed, 0);
+        EXPECT_EQ(eq.blockedProcesses().size(), 3u);
+    }
+    EXPECT_EQ(destroyed, 3);
 }
 
 } // namespace

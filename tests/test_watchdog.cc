@@ -6,10 +6,10 @@
  * state — and asserts that the robustness machinery converts it into a
  * structured, named diagnosis instead of a hang or an abort.
  *
- * These tests live in their own binary (absim_chaos_tests): a wedged
- * fiber is deliberately abandoned mid-flight, so heap blocks reachable
- * only from its dead stack frames are unrecoverable by design and leak
- * checkers must be off (see tests/CMakeLists.txt).
+ * These tests live in their own binary (absim_chaos_tests).  A wedged
+ * fiber is never resumed by the run; when its process is destroyed the
+ * fiber is unwound, so what its frames own is freed and the suite runs
+ * under the leak checker like every other (see tests/CMakeLists.txt).
  */
 
 #include <gtest/gtest.h>
