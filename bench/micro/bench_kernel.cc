@@ -17,6 +17,9 @@
 ///   delay_in_place_ns    Process::delay in a ring of 32 processes whose
 ///                        delays mostly resume strictly before every
 ///                        other pending event (advanced in place)
+///   next_event_time_ns   the per-access "is an event due?" query
+///                        (nextEventTime) with 32 events pending across
+///                        the calendar
 ///   dirmem_access_ns     host cost per memory access of a full IS run
 ///                        on the detailed target machine (DirectoryMem)
 #include <algorithm>
@@ -146,6 +149,35 @@ delayInPlace(std::uint64_t rounds, MicroSuite &suite)
     return elapsed * 1e9 / static_cast<double>(delays);
 }
 
+/// The runtime's per-access clock query (rt::Context::maybeYield): a
+/// processor's local time steps forward and is compared against
+/// nextEventTime(), with kPending events spread over the calendar.
+/// Returns ns per query.
+double
+nextEventQuery(std::uint64_t queries)
+{
+    constexpr Tick kPending = 32;
+    EventQueue eq;
+    for (Tick i = 0; i < kPending; ++i)
+        eq.schedule(1000 + i * 127, [] {});
+    // Read through a volatile pointer so every iteration queries the
+    // engine, as an access between two engine calls does.
+    EventQueue *volatile engine = &eq;
+    Tick local = 0;
+    std::uint64_t due = 0;
+    const double begin = wallNow();
+    for (std::uint64_t q = 0; q < queries; ++q) {
+        local += 1 + (q & 7);
+        if (local >= engine->nextEventTime()) {
+            ++due;
+            local = 0;
+        }
+    }
+    const double elapsed = wallNow() - begin;
+    ABSIM_CHECK(due > 0, "no query found its event due");
+    return elapsed * 1e9 / static_cast<double>(queries);
+}
+
 } // namespace
 
 int
@@ -181,6 +213,10 @@ main(int argc, char **argv)
         std::max<std::uint64_t>(1, chain_events / (2 * 32 * 8));
     suite.run("delay_in_place_ns", "ns/delay", false,
               [&] { return delayInPlace(ring_rounds, suite); });
+
+    suite.setCounter("queries", static_cast<double>(chain_events * 4));
+    suite.run("next_event_time_ns", "ns/query", false,
+              [&] { return nextEventQuery(chain_events * 4); });
 
     // Full IS run on the detailed target machine: DirectoryMem owns the
     // op path.  Per-access host cost folds in the queue, fibers and the

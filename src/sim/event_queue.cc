@@ -1,7 +1,6 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
-#include <bit>
 #include <sstream>
 
 #include "check/check.hh"
@@ -10,14 +9,7 @@
 
 namespace absim::sim {
 
-EventQueue::EventQueue()
-    : buckets_(new Bucket[kBuckets]),
-      words_(new std::uint64_t[kBucketWords]())
-{
-    static_assert(kBucketWords == 64,
-                  "summary_ is a single word: exactly 64 bitmap words");
-    static_assert((kBuckets & (kBuckets - 1)) == 0);
-}
+EventQueue::EventQueue() = default;
 
 EventQueue::~EventQueue()
 {
@@ -31,15 +23,11 @@ EventQueue::~EventQueue()
         delete p;
     // Destroy the callables of every still-pending event (requestStop
     // and thrown budgets leave the queue populated).  Node memory is
-    // owned by blocks_ and freed with it.
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-        for (EventNode *n = buckets_[i].head; n != nullptr; n = n->next)
-            if (n->destroy)
-                n->destroy(n->storage);
-    }
-    for (EventNode *n : overflow_)
+    // owned by the pool and freed with it.
+    calendar_.forEach([](EventNode *n) {
         if (n->destroy)
             n->destroy(n->storage);
+    });
 }
 
 void
@@ -150,228 +138,12 @@ EventQueue::checkSchedule(Tick when) const
                                       << ")");
 }
 
-EventQueue::EventNode *
-EventQueue::acquireNode()
-{
-    if (freeList_ == nullptr) {
-        auto block = std::make_unique<EventNode[]>(kNodesPerBlock);
-        for (std::size_t i = kNodesPerBlock; i-- > 0;) {
-            block[i].next = freeList_;
-            freeList_ = &block[i];
-        }
-        blocks_.push_back(std::move(block));
-    }
-    EventNode *node = freeList_;
-    freeList_ = node->next;
-    return node;
-}
-
-void
-EventQueue::releaseNode(EventNode *node)
-{
-    node->invoke = nullptr;
-    node->destroy = nullptr;
-    node->next = freeList_;
-    freeList_ = node;
-}
-
 void
 EventQueue::destroyNode(EventNode *node)
 {
     if (node->destroy)
         node->destroy(node->storage);
-    releaseNode(node);
-}
-
-void
-EventQueue::markBucket(std::size_t idx)
-{
-    const std::size_t word = idx >> 6;
-    words_[word] |= std::uint64_t{1} << (idx & 63);
-    summary_ |= std::uint64_t{1} << word;
-}
-
-void
-EventQueue::clearBucket(std::size_t idx)
-{
-    const std::size_t word = idx >> 6;
-    words_[word] &= ~(std::uint64_t{1} << (idx & 63));
-    if (words_[word] == 0)
-        summary_ &= ~(std::uint64_t{1} << word);
-}
-
-std::size_t
-EventQueue::firstBucketFrom(std::size_t start) const
-{
-    // The window spans exactly kBuckets ticks, so circular bitmap
-    // order from the bucket of the earliest possible tick *is* tick
-    // order.  Three probes: the tail of start's word, whole later
-    // words, then the wrapped-around prefix.
-    const std::size_t start_word = start >> 6;
-    const std::size_t start_bit = start & 63;
-
-    const std::uint64_t head =
-        words_[start_word] & (~std::uint64_t{0} << start_bit);
-    if (head != 0)
-        return (start_word << 6) +
-               static_cast<std::size_t>(std::countr_zero(head));
-
-    const std::uint64_t later =
-        start_word == 63
-            ? 0
-            : summary_ & (~std::uint64_t{0} << (start_word + 1));
-    if (later != 0) {
-        const auto word =
-            static_cast<std::size_t>(std::countr_zero(later));
-        return (word << 6) +
-               static_cast<std::size_t>(std::countr_zero(words_[word]));
-    }
-
-    // Wrap-around: words below start's, then start's own low bits.
-    const std::uint64_t below =
-        summary_ & ((std::uint64_t{1} << start_word) - 1);
-    if (below != 0) {
-        const auto word =
-            static_cast<std::size_t>(std::countr_zero(below));
-        return (word << 6) +
-               static_cast<std::size_t>(std::countr_zero(words_[word]));
-    }
-    const std::uint64_t low =
-        words_[start_word] & ((std::uint64_t{1} << start_bit) - 1);
-    if (low != 0)
-        return (start_word << 6) +
-               static_cast<std::size_t>(std::countr_zero(low));
-    return kBuckets; // Empty calendar.
-}
-
-void
-EventQueue::pushBucket(EventNode *node)
-{
-    const std::size_t idx =
-        static_cast<std::size_t>(node->when) & (kBuckets - 1);
-    Bucket &b = buckets_[idx];
-    node->next = nullptr;
-    if (b.tail != nullptr) {
-        b.tail->next = node;
-    } else {
-        b.head = node;
-        markBucket(idx);
-    }
-    b.tail = node;
-    ++calendarCount_;
-}
-
-void
-EventQueue::pushOverflow(EventNode *node)
-{
-    const auto later = [](const EventNode *a, const EventNode *b) {
-        return a->when > b->when ||
-               (a->when == b->when && a->seq > b->seq);
-    };
-    overflow_.push_back(node);
-    std::push_heap(overflow_.begin(), overflow_.end(), later);
-}
-
-EventQueue::EventNode *
-EventQueue::popOverflowTop()
-{
-    const auto later = [](const EventNode *a, const EventNode *b) {
-        return a->when > b->when ||
-               (a->when == b->when && a->seq > b->seq);
-    };
-    EventNode *top = overflow_.front();
-    std::pop_heap(overflow_.begin(), overflow_.end(), later);
-    overflow_.pop_back();
-    return top;
-}
-
-void
-EventQueue::enqueueNode(EventNode *node)
-{
-    ++size_;
-    // Bucket events must be inside the window AND not in the simulated
-    // past: past events (legal with causality checks off) would break
-    // the circular-scan-from-now ordering, so they ride the overflow
-    // heap, which orders them globally.
-    if (node->when >= windowBase_ && node->when < windowLimit_ &&
-        node->when >= now_)
-        pushBucket(node);
-    else
-        pushOverflow(node);
-}
-
-void
-EventQueue::advanceWindow()
-{
-    // Pre: calendar empty, overflow non-empty, overflow top >= now_.
-    const Tick base = overflow_.front()->when;
-    windowBase_ = base;
-    windowLimit_ = base > kTickMax - Tick{kBuckets} ? kTickMax
-                                                    : base + kBuckets;
-    // The heap pops in (when, seq) order, so same-tick events arrive
-    // at their bucket in seq order — FIFO append preserves it.
-    while (!overflow_.empty() &&
-           overflow_.front()->when < windowLimit_)
-        pushBucket(popOverflowTop());
-}
-
-EventQueue::EventNode *
-EventQueue::calendarFront() const
-{
-    if (calendarCount_ == 0)
-        return nullptr;
-    const Tick start_tick = now_ > windowBase_ ? now_ : windowBase_;
-    const std::size_t idx = firstBucketFrom(
-        static_cast<std::size_t>(start_tick) & (kBuckets - 1));
-    return buckets_[idx].head;
-}
-
-const EventQueue::EventNode *
-EventQueue::peekNext() const
-{
-    const EventNode *cal = calendarFront();
-    const EventNode *ovf = overflow_.empty() ? nullptr : overflow_.front();
-    if (cal == nullptr)
-        return ovf;
-    if (ovf == nullptr)
-        return cal;
-    if (ovf->when < cal->when ||
-        (ovf->when == cal->when && ovf->seq < cal->seq))
-        return ovf;
-    return cal;
-}
-
-EventQueue::EventNode *
-EventQueue::popNext()
-{
-    if (size_ == 0)
-        return nullptr;
-    // Re-base the window onto the overflow tier when the calendar has
-    // drained.  Past-dated overflow events (causality off) stay put:
-    // re-basing on a past tick would put them behind the scan start.
-    if (calendarCount_ == 0 && !overflow_.empty() &&
-        overflow_.front()->when >= now_)
-        advanceWindow();
-
-    EventNode *cal = calendarFront();
-    EventNode *ovf = overflow_.empty() ? nullptr : overflow_.front();
-    --size_;
-    if (cal == nullptr ||
-        (ovf != nullptr &&
-         (ovf->when < cal->when ||
-          (ovf->when == cal->when && ovf->seq < cal->seq))))
-        return popOverflowTop();
-
-    const std::size_t idx =
-        static_cast<std::size_t>(cal->when) & (kBuckets - 1);
-    Bucket &b = buckets_[idx];
-    b.head = cal->next;
-    if (b.head == nullptr) {
-        b.tail = nullptr;
-        clearBucket(idx);
-    }
-    --calendarCount_;
-    return cal;
+    pool_.release(node);
 }
 
 void
@@ -396,25 +168,7 @@ EventQueue::dispatch(EventNode *node)
 void
 EventQueue::run()
 {
-    while (size_ != 0 && !stopRequested_) {
-        enforceBudget();
-        const EventNode *next = peekNext();
-        if (check::options().causality)
-            ABSIM_CHECK(next->when >= now_,
-                        "engine clock would run backwards: now=" << now_
-                            << " next event at " << next->when);
-        if (budget_.maxSimTime != 0 && next->when > budget_.maxSimTime) {
-            std::ostringstream oss;
-            oss << "sim-time budget exceeded: next event at "
-                << next->when << " ns passes the " << budget_.maxSimTime
-                << " ns limit";
-            throw BudgetExceededError(oss.str(), dispatched_, now_,
-                                      blockedProcesses());
-        }
-        if (next->when > now_)
-            lastProgressDispatch_ = dispatched_;
-        dispatch(popNext());
-    }
+    runUntil(kTickMax);
 }
 
 bool
@@ -424,7 +178,7 @@ EventQueue::tryAdvanceInPlace(Tick when)
         budgetActsNext() ||
         (budget_.maxSimTime != 0 && when > budget_.maxSimTime))
         return false;
-    if (size_ != 0 && when >= peekNext()->when)
+    if (when >= calendar_.frontTick() && !calendar_.empty())
         return false;
     // What schedule() + run() + dispatch() would have done for the
     // resume event, minus the node, the queue and the fiber switch.
@@ -447,27 +201,30 @@ EventQueue::runUntil(Tick limit)
         ~LimitScope() { slot = saved; }
     } scope{runLimit_, runLimit_};
     runLimit_ = limit;
-    while (size_ != 0 && !stopRequested_) {
+    // Every check reads the front before it is popped, so an event a
+    // check refuses stays queued.
+    while (!calendar_.empty() && !stopRequested_) {
         enforceBudget();
-        const EventNode *next = peekNext();
-        if (next->when > limit)
+        const Tick next = calendar_.frontTick();
+        if (next > limit)
             return false;
         if (check::options().causality)
-            ABSIM_CHECK(next->when >= now_,
+            ABSIM_CHECK(next >= now_,
                         "engine clock would run backwards: now=" << now_
-                            << " next event at " << next->when);
-        if (next->when > now_)
+                            << " next event at " << next);
+        if (budget_.maxSimTime != 0 && next > budget_.maxSimTime) {
+            std::ostringstream oss;
+            oss << "sim-time budget exceeded: next event at " << next
+                << " ns passes the " << budget_.maxSimTime
+                << " ns limit";
+            throw BudgetExceededError(oss.str(), dispatched_, now_,
+                                      blockedProcesses());
+        }
+        if (next > now_)
             lastProgressDispatch_ = dispatched_;
-        dispatch(popNext());
+        dispatch(calendar_.pop());
     }
-    return size_ == 0;
-}
-
-Tick
-EventQueue::nextEventTime() const
-{
-    const EventNode *next = peekNext();
-    return next == nullptr ? kTickMax : next->when;
+    return calendar_.empty();
 }
 
 } // namespace absim::sim

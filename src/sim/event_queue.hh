@@ -15,14 +15,15 @@
  *    for the callable (no std::function heap churn on the hot path);
  *    nodes come from an arena owned by the queue and are recycled onto
  *    a freelist as they dispatch.
- *  - A single-tick calendar tier — kBuckets circular one-tick buckets
- *    tracked by a two-level bitmap — holds the near-now events; each
- *    bucket is a FIFO list, which *is* (tick, seq) order because a
- *    bucket covers exactly one tick.
- *  - A sorted overflow tier (binary min-heap on (tick, seq)) holds
- *    far-future events; when the calendar drains, the window re-bases
- *    onto the earliest overflow event and pulls the next window's
- *    events across.
+ *  - Pending nodes sit in a sim::Calendar (sim/calendar.hh): one-tick
+ *    FIFO buckets over a window that slides with the clock — an event
+ *    is bucketed iff now <= when < now + 4096, so every bucketed event
+ *    lies in [now, now + 4096) and circular bucket order from the front
+ *    is tick order — plus a (tick, seq) min-heap for far-future (and,
+ *    with causality checks off, past) events, popped straight off the
+ *    heap once earliest.  The front tick is cached: nextEventTime() and
+ *    the in-place advance test are loads, and the bitmap is rescanned
+ *    only when the earliest bucket empties.
  *
  * The engine also hosts the run watchdog: a RunBudget bounds events,
  * simulated time, wall-clock time and clock stalls, and every Process
@@ -37,12 +38,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "sim/calendar.hh"
 #include "sim/types.hh"
 #include "sim/watchdog.hh"
 
@@ -94,7 +95,7 @@ class EventQueue
     }
 
     /**
-     * Run events until the queue is empty.
+     * Run events until the queue is empty: runUntil(kTickMax).
      * @throws BudgetExceededError / DeadlockError if the budget trips.
      */
     void run();
@@ -102,8 +103,10 @@ class EventQueue
     /**
      * Run events until the clock would pass @p limit.
      *
-     * Events at exactly @p limit still fire.
+     * Events at exactly @p limit still fire.  The budget is enforced
+     * exactly as by run(), before each event is popped.
      * @return true if the queue drained, false if stopped at the limit.
+     * @throws BudgetExceededError / DeadlockError if the budget trips.
      */
     bool runUntil(Tick limit);
 
@@ -129,10 +132,10 @@ class EventQueue
     Tick now() const { return now_; }
 
     /** Tick of the earliest pending event, or kTickMax if none. */
-    Tick nextEventTime() const;
+    Tick nextEventTime() const { return calendar_.frontTick(); }
 
     /** Number of pending events. */
-    std::size_t pending() const { return size_; }
+    std::size_t pending() const { return calendar_.size(); }
 
     /** Total number of events dispatched so far (simulation-cost metric). */
     std::uint64_t dispatched() const { return dispatched_; }
@@ -178,12 +181,6 @@ class EventQueue
     static constexpr std::size_t kInlineBytes = 64;
 
   private:
-    /** Calendar width: one-tick buckets spanning a kBuckets-tick
-     *  window.  Power of two so the bucket index is a mask. */
-    static constexpr std::size_t kBuckets = 4096;
-    static constexpr std::size_t kBucketWords = kBuckets / 64;
-    static constexpr std::size_t kNodesPerBlock = 256;
-
     /**
      * One pooled event: intrusive FIFO link + type-erased callable in
      * a fixed inline buffer.  invoke/destroy are plain function
@@ -197,13 +194,6 @@ class EventQueue
         void (*invoke)(void *) = nullptr;
         void (*destroy)(void *) = nullptr; ///< Null: trivially destructible.
         alignas(std::max_align_t) unsigned char storage[kInlineBytes];
-    };
-
-    /** A one-tick calendar bucket: FIFO list == (tick, seq) order. */
-    struct Bucket
-    {
-        EventNode *head = nullptr;
-        EventNode *tail = nullptr;
     };
 
     template <typename D>
@@ -230,14 +220,14 @@ class EventQueue
     emplace(Tick when, F &&fn)
     {
         using D = std::decay_t<F>;
-        EventNode *node = acquireNode();
+        EventNode *node = pool_.acquire();
         if constexpr (sizeof(D) <= kInlineBytes &&
                       alignof(D) <= alignof(std::max_align_t)) {
             try {
                 ::new (static_cast<void *>(node->storage))
                     D(std::forward<F>(fn));
             } catch (...) {
-                releaseNode(node);
+                pool_.release(node);
                 throw;
             }
             node->invoke = &invokeAs<D>;
@@ -252,7 +242,7 @@ class EventQueue
                 ::new (static_cast<void *>(node->storage))
                     Callback(std::forward<F>(fn));
             } catch (...) {
-                releaseNode(node);
+                pool_.release(node);
                 throw;
             }
             node->invoke = &invokeAs<Callback>;
@@ -260,38 +250,11 @@ class EventQueue
         }
         node->when = when;
         node->seq = nextSeq_++;
-        enqueueNode(node);
+        calendar_.push(node, now_);
     }
 
-    EventNode *acquireNode();
-    void releaseNode(EventNode *node); ///< Callable already destroyed.
-    void destroyNode(EventNode *node); ///< Destroy callable + release.
-
-    /** Route a filled node into the calendar or the overflow tier. */
-    void enqueueNode(EventNode *node);
-    void pushBucket(EventNode *node);
-    void pushOverflow(EventNode *node);
-    EventNode *popOverflowTop();
-
-    /**
-     * Re-base the calendar window onto the earliest overflow event and
-     * pull everything inside the new window across.  Precondition: the
-     * calendar tier is empty and the overflow tier is not.
-     */
-    void advanceWindow();
-
-    /** Earliest bucketed node, or nullptr if the calendar is empty. */
-    EventNode *calendarFront() const;
-
-    /**
-     * Detach and return the earliest pending event ((when, seq) order
-     * across both tiers), re-basing the window as needed.  Returns
-     * nullptr when the queue is empty.
-     */
-    EventNode *popNext();
-
-    /** The (when, seq) of the earliest pending event without popping. */
-    const EventNode *peekNext() const;
+    /** Destroy the callable and return the node to the pool. */
+    void destroyNode(EventNode *node);
 
     /** Dispatch @p node: advance the clock, invoke, recycle. */
     void dispatch(EventNode *node);
@@ -306,34 +269,12 @@ class EventQueue
     /** One link of the StallQueue fault-injection chain. */
     void stallStep();
 
-    /** @name Two-level occupancy bitmap over the calendar buckets. */
-    /// @{
-    void markBucket(std::size_t idx);
-    void clearBucket(std::size_t idx);
-    /** First occupied bucket in circular order from @p start. */
-    std::size_t firstBucketFrom(std::size_t start) const;
-    /// @}
-
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t dispatched_ = 0;
-    std::size_t size_ = 0;
 
-    /** Calendar tier: buckets cover [windowBase_, windowLimit_). */
-    std::unique_ptr<Bucket[]> buckets_;
-    std::uint64_t summary_ = 0; ///< Which bitmap words are non-zero.
-    std::unique_ptr<std::uint64_t[]> words_;
-    Tick windowBase_ = 0;
-    Tick windowLimit_ = kBuckets;
-    std::size_t calendarCount_ = 0;
-
-    /** Overflow tier: (when, seq) min-heap of far-future (and, with
-     *  causality checks off, past) events. */
-    std::vector<EventNode *> overflow_;
-
-    /** Node pool: arena blocks + freelist threaded through next. */
-    std::vector<std::unique_ptr<EventNode[]>> blocks_;
-    EventNode *freeList_ = nullptr;
+    Calendar<EventNode> calendar_;
+    NodePool<EventNode> pool_;
 
     RunBudget budget_;
     bool stopRequested_ = false;

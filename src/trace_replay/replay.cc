@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <coroutine>
@@ -22,6 +21,7 @@
 #include "mem/cache.hh"
 #include "net/network.hh"
 #include "runtime/shared.hh"
+#include "sim/calendar.hh"
 #include "stats/histogram.hh"
 
 namespace absim::trace {
@@ -123,65 +123,45 @@ struct PooledPromise
 // what makes the mirrored schedule deterministic and equal to
 // execution's.
 //
-// The container is the same single-tick calendar the execution engine
-// uses (sim/event_queue.hh): kBuckets circular one-tick FIFO buckets
-// under a two-level occupancy bitmap for the near-now mass, plus a
-// (when, seq) min-heap overflow tier for far-future events.  A bucket
-// covers exactly one tick, so its FIFO list *is* (tick, seq) order.
-// On top of that the replay engine caches the next pending tick:
-// nextEventTime() gates every fastAccess and maybeYield decision, so
-// it is by far the most-called engine entry point.
+// The container is the execution engine's own: a sim::Calendar of
+// pooled nodes (sim/calendar.hh), whose one-tick buckets slide with the
+// clock and whose front tick is cached.  nextEventTime() gates every
+// fastAccess and maybeYield decision, so it is by far the most-called
+// engine entry point; on the calendar it is one load.
 
 class REngine
 {
   public:
-    REngine()
-        : buckets_(new Bucket[kBuckets]()),
-          words_(new std::uint64_t[kBucketWords]())
-    {
-    }
-
-    ~REngine()
-    {
-        // Nodes live in the arena blocks; nothing to walk.
-    }
-
+    REngine() = default;
     REngine(const REngine &) = delete;
     REngine &operator=(const REngine &) = delete;
 
     sim::Tick now() const { return now_; }
 
-    /** Tick of the earliest pending event (cached), kTickMax if none. */
-    sim::Tick nextEventTime() const { return next_; }
+    /** Tick of the earliest pending event, kTickMax if none. */
+    sim::Tick nextEventTime() const { return calendar_.frontTick(); }
 
     void
     schedule(std::coroutine_handle<> h, sim::Tick when)
     {
         ABSIM_DCHECK(when >= now_, "replay event scheduled in the past");
-        Node *node = acquireNode();
+        Node *node = pool_.acquire();
         node->when = when;
         node->seq = seq_++;
         node->h = h;
-        ++size_;
-        if (when >= windowBase_ && when < windowLimit_ && when >= now_)
-            pushBucket(node);
-        else
-            pushOverflow(node);
-        if (when < next_)
-            next_ = when;
+        calendar_.push(node, now_);
     }
 
     /** Dispatch until drained (or a captured error stops the run). */
     void
     run(const std::exception_ptr &error)
     {
-        while (size_ != 0 && error == nullptr) {
-            Node *node = popNext();
+        while (!calendar_.empty() && error == nullptr) {
+            Node *node = calendar_.pop();
             now_ = node->when;
             ++dispatched_;
             const std::coroutine_handle<> h = node->h;
-            releaseNode(node);
-            updateNext(); // Resumed code queries nextEventTime().
+            pool_.release(node);
             h.resume();
         }
     }
@@ -189,12 +169,6 @@ class REngine
     std::uint64_t dispatched() const { return dispatched_; }
 
   private:
-    /** Calendar width: one-tick buckets spanning a kBuckets-tick
-     *  window.  Power of two so the bucket index is a mask. */
-    static constexpr std::size_t kBuckets = 4096;
-    static constexpr std::size_t kBucketWords = kBuckets / 64;
-    static constexpr std::size_t kNodesPerBlock = 256;
-
     struct Node
     {
         sim::Tick when = 0;
@@ -203,232 +177,11 @@ class REngine
         std::coroutine_handle<> h;
     };
 
-    /** A one-tick calendar bucket: FIFO list == (tick, seq) order. */
-    struct Bucket
-    {
-        Node *head = nullptr;
-        Node *tail = nullptr;
-    };
-
-    Node *
-    acquireNode()
-    {
-        if (freeList_ == nullptr) {
-            blocks_.push_back(std::make_unique<Node[]>(kNodesPerBlock));
-            Node *block = blocks_.back().get();
-            for (std::size_t i = 0; i < kNodesPerBlock; ++i) {
-                block[i].next = freeList_;
-                freeList_ = &block[i];
-            }
-        }
-        Node *node = freeList_;
-        freeList_ = node->next;
-        return node;
-    }
-
-    void
-    releaseNode(Node *node)
-    {
-        node->next = freeList_;
-        freeList_ = node;
-    }
-
-    void
-    markBucket(std::size_t idx)
-    {
-        const std::size_t word = idx >> 6;
-        words_[word] |= std::uint64_t{1} << (idx & 63);
-        summary_ |= std::uint64_t{1} << word;
-    }
-
-    void
-    clearBucket(std::size_t idx)
-    {
-        const std::size_t word = idx >> 6;
-        words_[word] &= ~(std::uint64_t{1} << (idx & 63));
-        if (words_[word] == 0)
-            summary_ &= ~(std::uint64_t{1} << word);
-    }
-
-    /** First occupied bucket in circular order from @p start. */
-    std::size_t
-    firstBucketFrom(std::size_t start) const
-    {
-        // The window spans exactly kBuckets ticks, so circular bitmap
-        // order from the bucket of the earliest possible tick *is*
-        // tick order (same three-probe scan as the execution queue).
-        const std::size_t start_word = start >> 6;
-        const std::size_t start_bit = start & 63;
-
-        const std::uint64_t head =
-            words_[start_word] & (~std::uint64_t{0} << start_bit);
-        if (head != 0)
-            return (start_word << 6) +
-                   static_cast<std::size_t>(std::countr_zero(head));
-
-        const std::uint64_t later =
-            start_word == 63
-                ? 0
-                : summary_ & (~std::uint64_t{0} << (start_word + 1));
-        if (later != 0) {
-            const auto word =
-                static_cast<std::size_t>(std::countr_zero(later));
-            return (word << 6) + static_cast<std::size_t>(
-                                     std::countr_zero(words_[word]));
-        }
-
-        const std::uint64_t below =
-            summary_ & ((std::uint64_t{1} << start_word) - 1);
-        if (below != 0) {
-            const auto word =
-                static_cast<std::size_t>(std::countr_zero(below));
-            return (word << 6) + static_cast<std::size_t>(
-                                     std::countr_zero(words_[word]));
-        }
-        const std::uint64_t low =
-            words_[start_word] & ((std::uint64_t{1} << start_bit) - 1);
-        if (low != 0)
-            return (start_word << 6) +
-                   static_cast<std::size_t>(std::countr_zero(low));
-        return kBuckets; // Empty calendar.
-    }
-
-    void
-    pushBucket(Node *node)
-    {
-        const std::size_t idx =
-            static_cast<std::size_t>(node->when) & (kBuckets - 1);
-        Bucket &b = buckets_[idx];
-        node->next = nullptr;
-        if (b.tail != nullptr) {
-            b.tail->next = node;
-        } else {
-            b.head = node;
-            markBucket(idx);
-        }
-        b.tail = node;
-        ++calendarCount_;
-    }
-
-    static bool
-    later(const Node *a, const Node *b)
-    {
-        return a->when > b->when ||
-               (a->when == b->when && a->seq > b->seq);
-    }
-
-    void
-    pushOverflow(Node *node)
-    {
-        overflow_.push_back(node);
-        std::push_heap(overflow_.begin(), overflow_.end(), later);
-    }
-
-    Node *
-    popOverflowTop()
-    {
-        Node *top = overflow_.front();
-        std::pop_heap(overflow_.begin(), overflow_.end(), later);
-        overflow_.pop_back();
-        return top;
-    }
-
-    /** Re-base the window onto the earliest overflow event and pull
-     *  the new window's events across (heap pops in (when, seq) order,
-     *  so same-tick events arrive at their bucket in seq order). */
-    void
-    advanceWindow()
-    {
-        const sim::Tick base = overflow_.front()->when;
-        windowBase_ = base;
-        windowLimit_ = base > sim::kTickMax - sim::Tick{kBuckets}
-                           ? sim::kTickMax
-                           : base + sim::Tick{kBuckets};
-        while (!overflow_.empty() &&
-               overflow_.front()->when < windowLimit_)
-            pushBucket(popOverflowTop());
-    }
-
-    Node *
-    calendarFront() const
-    {
-        if (calendarCount_ == 0)
-            return nullptr;
-        const sim::Tick start = now_ > windowBase_ ? now_ : windowBase_;
-        const std::size_t idx = firstBucketFrom(
-            static_cast<std::size_t>(start) & (kBuckets - 1));
-        return buckets_[idx].head;
-    }
-
-    Node *
-    popNext()
-    {
-        if (calendarCount_ == 0 && !overflow_.empty() &&
-            overflow_.front()->when >= now_)
-            advanceWindow();
-
-        Node *cal = calendarFront();
-        Node *ovf = overflow_.empty() ? nullptr : overflow_.front();
-        --size_;
-        if (cal == nullptr ||
-            (ovf != nullptr &&
-             (ovf->when < cal->when ||
-              (ovf->when == cal->when && ovf->seq < cal->seq))))
-            return popOverflowTop();
-
-        const std::size_t idx =
-            static_cast<std::size_t>(cal->when) & (kBuckets - 1);
-        Bucket &b = buckets_[idx];
-        b.head = cal->next;
-        if (b.head == nullptr) {
-            b.tail = nullptr;
-            clearBucket(idx);
-        }
-        --calendarCount_;
-        return cal;
-    }
-
-    /** Refresh the cached next-event tick after a pop. */
-    void
-    updateNext()
-    {
-        if (size_ == 0) {
-            next_ = sim::kTickMax;
-            return;
-        }
-        const Node *cal = calendarFront();
-        const Node *ovf =
-            overflow_.empty() ? nullptr : overflow_.front();
-        if (cal == nullptr)
-            next_ = ovf->when;
-        else if (ovf != nullptr &&
-                 (ovf->when < cal->when ||
-                  (ovf->when == cal->when && ovf->seq < cal->seq)))
-            next_ = ovf->when;
-        else
-            next_ = cal->when;
-    }
-
     sim::Tick now_ = 0;
-    sim::Tick next_ = sim::kTickMax;
     std::uint64_t seq_ = 0;
     std::uint64_t dispatched_ = 0;
-    std::size_t size_ = 0;
-
-    /** Calendar tier: buckets cover [windowBase_, windowLimit_). */
-    std::unique_ptr<Bucket[]> buckets_;
-    std::uint64_t summary_ = 0; ///< Which bitmap words are non-zero.
-    std::unique_ptr<std::uint64_t[]> words_;
-    sim::Tick windowBase_ = 0;
-    sim::Tick windowLimit_ = kBuckets;
-    std::size_t calendarCount_ = 0;
-
-    /** Overflow tier: (when, seq) min-heap of far-future events. */
-    std::vector<Node *> overflow_;
-
-    /** Node pool: arena blocks + freelist threaded through next. */
-    std::vector<std::unique_ptr<Node[]>> blocks_;
-    Node *freeList_ = nullptr;
+    sim::Calendar<Node> calendar_;
+    sim::NodePool<Node> pool_;
 };
 
 /** co_await EngineAt{eng, t}: mirror of Process::delayUntil(t) — always

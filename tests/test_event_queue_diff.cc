@@ -29,6 +29,7 @@
 namespace {
 
 using absim::sim::EventQueue;
+using absim::sim::kTickMax;
 using absim::sim::Rng;
 using absim::sim::Tick;
 
@@ -36,6 +37,10 @@ namespace check = absim::check;
 
 /// One dispatched event in an execution log: (tick, event id).
 using LogEntry = std::pair<Tick, std::uint64_t>;
+
+/// Queue introspection right after a dispatch has scheduled its
+/// children: (nextEventTime, pending).
+using FrontEntry = std::pair<Tick, std::size_t>;
 
 /**
  * Children of event @p id: 0-2 events with mixed tick deltas chosen to
@@ -77,6 +82,7 @@ struct RealRun
 
     EventQueue eq;
     std::vector<LogEntry> log;
+    std::vector<FrontEntry> fronts;
     std::uint64_t nextId = 0;
 
     void
@@ -93,6 +99,7 @@ struct RealRun
         for (const Tick delta : childDeltas(seed, id))
             if (nextId < maxEvents)
                 spawn(eq.now() + delta);
+        fronts.emplace_back(eq.nextEventTime(), eq.pending());
         if (stopAfter != 0 && log.size() == stopAfter)
             eq.requestStop();
     }
@@ -129,6 +136,7 @@ struct RefRun
     std::uint64_t maxEvents;
     std::priority_queue<Event, std::vector<Event>, Later> queue;
     std::vector<LogEntry> log;
+    std::vector<FrontEntry> fronts;
     std::uint64_t nextId = 0;
     std::uint64_t nextSeq = 0;
     Tick now = 0;
@@ -158,6 +166,8 @@ struct RefRun
         for (const Tick delta : childDeltas(seed, ev.id))
             if (nextId < maxEvents)
                 spawn(now + delta);
+        fronts.emplace_back(queue.empty() ? kTickMax : queue.top().when,
+                            queue.size());
     }
 
     void
@@ -181,6 +191,19 @@ expectSameLogs(const std::vector<LogEntry> &real,
     }
 }
 
+/** nextEventTime() and pending() after every dispatch of a run. */
+void
+expectSameFronts(const RealRun &real, const RefRun &ref)
+{
+    ASSERT_EQ(real.fronts.size(), ref.fronts.size());
+    for (std::size_t i = 0; i < real.fronts.size(); ++i) {
+        ASSERT_EQ(real.fronts[i].first, ref.fronts[i].first)
+            << "nextEventTime() wrong after dispatch " << i;
+        ASSERT_EQ(real.fronts[i].second, ref.fronts[i].second)
+            << "pending() wrong after dispatch " << i;
+    }
+}
+
 TEST(EventQueueDiff, MatchesReferenceHeapOnMixedWorkload)
 {
     constexpr std::uint64_t kEvents = 1'000'000;
@@ -197,6 +220,7 @@ TEST(EventQueueDiff, MatchesReferenceHeapOnMixedWorkload)
 
     EXPECT_EQ(real.log.size(), kEvents);
     expectSameLogs(real.log, ref.log);
+    expectSameFronts(real, ref);
     EXPECT_EQ(real.eq.pending(), 0u);
     EXPECT_EQ(real.eq.dispatched(), ref.log.size());
 }
@@ -252,6 +276,7 @@ TEST(EventQueueDiff, RequestStopMidRunAgreesWithReference)
 
     ASSERT_EQ(real.log.size(), kStopAfter);
     expectSameLogs(real.log, ref.log);
+    expectSameFronts(real, ref);
     EXPECT_TRUE(real.eq.stopRequested());
     EXPECT_EQ(real.eq.pending(), pending_at_stop);
     EXPECT_EQ(real.eq.pending(), ref.queue.size());
@@ -284,6 +309,7 @@ TEST(EventQueueDiff, RunUntilWindowsMatchReference)
     }
     EXPECT_TRUE(ref.queue.empty());
     expectSameLogs(real.log, ref.log);
+    expectSameFronts(real, ref);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,41 @@ TEST(EventQueue, RunUntilStopsAtLimit)
     EXPECT_EQ(fired, 1);
     EXPECT_TRUE(eq.runUntil(100));
     EXPECT_EQ(fired, 2);
+}
+
+TEST(EventQueue, RunUntilEnforcesTheSimTimeBudgetLikeRun)
+{
+    // An event every 30 ticks against a 100-tick budget: whether the
+    // engine is driven by run() or by runUntil() far past the budget,
+    // the event at 120 must trip it, still queued.
+    const auto drive = [](bool bounded) {
+        EventQueue eq;
+        RunBudget budget;
+        budget.maxSimTime = 100;
+        eq.setBudget(budget);
+        std::function<void()> tick = [&] { eq.scheduleAfter(30, tick); };
+        eq.scheduleAfter(30, tick);
+        try {
+            if (bounded)
+                eq.runUntil(1000);
+            else
+                eq.run();
+        } catch (const BudgetExceededError &e) {
+            EXPECT_EQ(e.eventsDispatched(), 3u);
+            EXPECT_EQ(e.simTime(), 90u);
+            EXPECT_EQ(eq.now(), 90u);
+            EXPECT_EQ(eq.pending(), 1u);
+            EXPECT_EQ(eq.nextEventTime(), 120u);
+            return std::string(e.what());
+        }
+        ADD_FAILURE() << "expected BudgetExceededError (bounded="
+                      << bounded << ")";
+        return std::string();
+    };
+    const std::string from_run_until = drive(true);
+    EXPECT_NE(from_run_until.find("sim-time budget"), std::string::npos)
+        << from_run_until;
+    EXPECT_EQ(from_run_until, drive(false));
 }
 
 TEST(EventQueue, CountsDispatchedEvents)
