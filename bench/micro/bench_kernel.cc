@@ -22,6 +22,8 @@
 ///                        the calendar
 ///   dirmem_access_ns     host cost per memory access of a full IS run
 ///                        on the detailed target machine (DirectoryMem)
+///   check_eval_ns        one passing ABSIM_CHECK_EQ on an opaque
+///                        operand, the cost every always-on check pays
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -178,6 +180,27 @@ nextEventQuery(std::uint64_t queries)
     return elapsed * 1e9 / static_cast<double>(queries);
 }
 
+/// A passing ABSIM_CHECK_EQ per iteration on a volatile operand the
+/// compiler cannot fold; a compiler barrier after each check keeps the
+/// evaluation counter's update inside the loop, as the calls around a
+/// real check do.  Returns ns per check; the evaluated delta is exact.
+double
+checkEval(std::uint64_t checks)
+{
+    volatile std::uint64_t opaque = 0;
+    const std::uint64_t before = absim::check::counters().evaluated;
+    const double begin = wallNow();
+    for (std::uint64_t i = 0; i < checks; ++i) {
+        ABSIM_CHECK_EQ(opaque, 0u, "opaque operand changed at " << i);
+        asm volatile("" ::: "memory");
+    }
+    const double elapsed = wallNow() - begin;
+    const std::uint64_t evaluated =
+        absim::check::counters().evaluated - before;
+    ABSIM_CHECK_EQ(evaluated, checks, "check bench miscounted");
+    return elapsed * 1e9 / static_cast<double>(checks);
+}
+
 } // namespace
 
 int
@@ -217,6 +240,10 @@ main(int argc, char **argv)
     suite.setCounter("queries", static_cast<double>(chain_events * 4));
     suite.run("next_event_time_ns", "ns/query", false,
               [&] { return nextEventQuery(chain_events * 4); });
+
+    suite.setCounter("checks", static_cast<double>(chain_events * 4));
+    suite.run("check_eval_ns", "ns/check", false,
+              [&] { return checkEval(chain_events * 4); });
 
     // Full IS run on the detailed target machine: DirectoryMem owns the
     // op path.  Per-access host cost folds in the queue, fibers and the

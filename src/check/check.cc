@@ -44,13 +44,18 @@ threadDefaultState()
 
 } // namespace detail
 
+// Both directions fold the pending evaluations into the state being
+// replaced (counters() does the fold), so they are charged to the state
+// that was current while they ran.
 ScopedState::ScopedState(State &state) : prev_(&check::state())
 {
+    counters();
     detail::tl_state = &state;
 }
 
 ScopedState::~ScopedState()
 {
+    counters();
     detail::tl_state = prev_;
 }
 

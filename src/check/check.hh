@@ -36,6 +36,7 @@
 #define ABSIM_CHECK_CHECK_HH
 
 #include <cstdint>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -107,11 +108,22 @@ namespace detail {
  *  the hot-path load free of a TLS init guard). */
 inline thread_local constinit State *tl_state = nullptr;
 
+/**
+ * Checks evaluated on this thread and not yet added to the current
+ * state's Counters::evaluated.  The check macros bump this directly (one
+ * thread-local add, no State lookup); it is folded into the current
+ * state whenever that state's counters are read (counters(), fail()) or
+ * the current state is replaced (ScopedState), so every pending count
+ * lands in the state that was current when the check ran.
+ */
+inline thread_local constinit std::uint64_t tl_pending = 0;
+
 /** The thread's ambient fallback state (defined in check.cc). */
 State &threadDefaultState();
 } // namespace detail
 
-/** The current thread's active check state. */
+/** The current thread's active check state.  Its counters.evaluated
+ *  lags by the pending evaluations until counters() folds them in. */
 inline State &
 state()
 {
@@ -120,10 +132,15 @@ state()
     return *detail::tl_state;
 }
 
+/** The current state's counters, with this thread's pending
+ *  evaluations folded in first. */
 inline Counters &
 counters()
 {
-    return state().counters;
+    Counters &current = state().counters;
+    current.evaluated += detail::tl_pending;
+    detail::tl_pending = 0;
+    return current;
 }
 
 inline Options &
@@ -194,6 +211,20 @@ FailureHandler setFailureHandler(FailureHandler handler);
 [[noreturn]] void fail(const char *file, int line, const char *expr,
                        const std::string &message);
 
+namespace detail {
+/** The out-of-line failure path of the check macros: formats the
+ *  message by calling @p format on a stream, then fail()s.  Cold and
+ *  never inlined, so a passing check carries no stream set-up. */
+template <class Format>
+[[noreturn, gnu::cold, gnu::noinline]] void
+failWith(const char *file, int line, const char *expr, const Format &format)
+{
+    std::ostringstream oss;
+    format(oss);
+    fail(file, line, expr, oss.str());
+}
+} // namespace detail
+
 /**
  * RAII guard that makes check failures throw CheckFailure for its
  * lifetime.  For tests only: a throw from a check inside a raw fiber
@@ -217,17 +248,19 @@ class ScopedThrowOnFailure
 
 /**
  * Verify @p cond, which must hold in every build.  @p msg is an ostream
- * expression chain evaluated only on failure.
+ * expression chain evaluated only on failure, inside the cold
+ * detail::failWith; a passing check costs its compare plus one
+ * thread-local add.
  */
 #define ABSIM_CHECK(cond, msg)                                              \
     do {                                                                    \
-        ++::absim::check::counters().evaluated;                             \
-        if (!(cond)) [[unlikely]] {                                         \
-            std::ostringstream absim_check_oss_;                            \
-            absim_check_oss_ << msg;                                        \
-            ::absim::check::fail(__FILE__, __LINE__, #cond,                 \
-                                 absim_check_oss_.str());                   \
-        }                                                                   \
+        ++::absim::check::detail::tl_pending;                               \
+        if (!(cond)) [[unlikely]]                                           \
+            ::absim::check::detail::failWith(                               \
+                __FILE__, __LINE__, #cond,                                  \
+                [&](std::ostream &absim_check_os_) {                        \
+                    absim_check_os_ << msg;                                 \
+                });                                                         \
     } while (0)
 
 /** ABSIM_CHECK for hot paths: compiled out under NDEBUG. */

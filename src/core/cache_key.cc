@@ -2,6 +2,7 @@
 
 #include "core/journal.hh"
 #include "machines/registry.hh"
+#include "trace_replay/format.hh"
 
 namespace absim::core {
 
@@ -58,20 +59,9 @@ canonicalRunKey(const RunConfig &config, const sim::RunBudget &budget)
 }
 
 std::uint64_t
-fnv1a64(const std::string &text)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (const unsigned char c : text) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-std::uint64_t
 runKeyHash(const RunConfig &config, const sim::RunBudget &budget)
 {
-    return fnv1a64(canonicalRunKey(config, budget));
+    return trace::fnv1a64(canonicalRunKey(config, budget));
 }
 
 std::string

@@ -43,10 +43,7 @@ namespace absim::core {
 std::string canonicalRunKey(const RunConfig &config,
                             const sim::RunBudget &budget);
 
-/** FNV-1a 64-bit hash of @p text. */
-std::uint64_t fnv1a64(const std::string &text);
-
-/** The cache key: fnv1a64 of the canonical rendering. */
+/** The cache key: trace::fnv1a64 of the canonical rendering. */
 std::uint64_t runKeyHash(const RunConfig &config,
                          const sim::RunBudget &budget);
 

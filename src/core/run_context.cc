@@ -41,7 +41,10 @@ RunContext::RunContext()
 RunContext::~RunContext()
 {
     // Aggregate this run's counters before the scopes (destroyed after
-    // this body) uninstall the context from the thread.
+    // this body) uninstall the context from the thread.  The context's
+    // state is still current, so counters() folds this thread's pending
+    // evaluations into it first.
+    check::counters();
     checkScope_.previous().counters += checkState_.counters;
     check::accumulateGlobal(checkState_.counters);
 }

@@ -4,6 +4,7 @@
 
 #include "core/cache_key.hh"
 #include "serve/protocol.hh"
+#include "trace_replay/format.hh"
 
 namespace absim::serve {
 
@@ -36,7 +37,7 @@ decodeEntry(const std::string &line, std::uint64_t &key,
     // The stored canonical string must re-hash to the stored key:
     // catches canonicalization drift and on-disk corruption that still
     // parses as JSON.
-    return canon.empty() || core::fnv1a64(canon) == key;
+    return canon.empty() || trace::fnv1a64(canon) == key;
 }
 
 } // namespace

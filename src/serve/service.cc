@@ -7,6 +7,7 @@
 #include "core/cache_key.hh"
 #include "core/journal.hh"
 #include "machines/registry.hh"
+#include "trace_replay/format.hh"
 
 namespace absim::serve {
 
@@ -175,7 +176,7 @@ Service::runPoint(const Request &request, const core::RunConfig &config,
 {
     const std::string canon =
         core::canonicalRunKey(config, request.policy.budget);
-    const std::uint64_t key = core::fnv1a64(canon);
+    const std::uint64_t key = trace::fnv1a64(canon);
     std::string payload;
     {
         const std::lock_guard<std::mutex> lock(cacheMutex_);

@@ -137,20 +137,6 @@ getVarint(const std::string &in, std::size_t &at, std::uint64_t &out)
     return false; // Over-long encoding: torn or hostile file.
 }
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-std::uint64_t
-fnv1a(const std::string &data)
-{
-    std::uint64_t h = kFnvOffset;
-    for (const char c : data) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
 } // namespace
 
 std::uint64_t
@@ -160,6 +146,17 @@ Trace::opCount() const
     for (const std::vector<Op> &stream : streams)
         total += stream.size();
     return total;
+}
+
+std::uint64_t
+fnv1a64(const std::string &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const char c : bytes) {
+        hash ^= static_cast<std::uint8_t>(c);
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
 }
 
 std::string
@@ -228,7 +225,7 @@ saveTrace(const Trace &trace, const std::string &path)
             putVarint(blob, op.value);
         }
     }
-    const std::uint64_t sum = fnv1a(blob);
+    const std::uint64_t sum = fnv1a64(blob);
     for (unsigned i = 0; i < 8; ++i)
         blob += static_cast<char>((sum >> (8 * i)) & 0xff);
 
@@ -272,7 +269,7 @@ loadTrace(const std::string &path, Trace &out)
         sum |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(
                    blob[blob.size() - 8 + i]))
                << (8 * i);
-    if (fnv1a(body) != sum)
+    if (fnv1a64(body) != sum)
         return false; // Torn, truncated or corrupt: a cache miss.
 
     const std::size_t nl = body.find('\n');

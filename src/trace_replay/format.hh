@@ -14,7 +14,8 @@
  *     ending in '\n' — human-inspectable with `head -1`;
  *   - a binary body: varint-encoded setup records, then each
  *     processor's operation stream;
- *   - an 8-byte little-endian FNV-1a checksum of header + body.
+ *   - an 8-byte little-endian FNV-1a checksum (fnv1a64) of header +
+ *     body.
  * Files are written via the journal durability discipline (temp file,
  * flush, fsync, atomic rename), so a crash mid-write leaves either the
  * old trace or a temp file that loaders ignore; a torn or truncated
@@ -157,6 +158,13 @@ void saveTrace(const Trace &trace, const std::string &path);
  * format version; callers treat all of those as a cache miss.
  */
 bool loadTrace(const std::string &path, Trace &out);
+
+/**
+ * FNV-1a 64-bit hash of @p bytes: the trace checksum above and the
+ * content address of a cached run (core::runKeyHash).  Both are
+ * persisted and compared across builds, so the function is frozen.
+ */
+std::uint64_t fnv1a64(const std::string &bytes);
 
 } // namespace absim::trace
 

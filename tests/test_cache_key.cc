@@ -14,6 +14,7 @@
 #include "core/figures.hh"
 #include "machines/registry.hh"
 #include "serve/protocol.hh"
+#include "trace_replay/format.hh"
 
 namespace {
 
@@ -34,7 +35,7 @@ TEST(CacheKey, HashMatchesCanonicalString)
     const core::RunConfig config = baseConfig();
     const sim::RunBudget budget;
     const std::string canon = core::canonicalRunKey(config, budget);
-    EXPECT_EQ(core::runKeyHash(config, budget), core::fnv1a64(canon));
+    EXPECT_EQ(core::runKeyHash(config, budget), trace::fnv1a64(canon));
     EXPECT_NE(canon.find("app=is;"), std::string::npos);
     EXPECT_NE(canon.find(";procs=8;"), std::string::npos);
 }

@@ -67,12 +67,24 @@ TEST(CheckMacros, DcheckIsLiveInThisBuild)
 TEST(CheckMacros, EqualityCheckPrintsBothOperands)
 {
     check::ScopedThrowOnFailure guard;
+    int line = 0;
     try {
+        line = __LINE__ + 1;
         ABSIM_CHECK_EQ(2 + 2, 5, "arithmetic");
         FAIL() << "check did not fire";
     } catch (const check::CheckFailure &e) {
         const std::string what = e.what();
         EXPECT_NE(what.find("4 vs 5"), std::string::npos) << what;
+        // The cold failure path still reports everything the inline
+        // formatting did: expression, operands, message, file and line.
+        EXPECT_NE(what.find("2 + 2 == 5 (4 vs 5): arithmetic"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("(2 + 2) == (5)"), std::string::npos) << what;
+        EXPECT_NE(what.find("test_check.cc:" + std::to_string(line)),
+                  std::string::npos)
+            << what;
+        EXPECT_EQ(e.line(), line);
     }
 }
 
@@ -94,6 +106,9 @@ TEST(CheckMacros, HandlerAndCountersArePerThread)
     check::FailureHandler other_handler =
         reinterpret_cast<check::FailureHandler>(1);
     std::uint64_t other_evaluated = ~0ull;
+    check::State peer_run;
+    constexpr std::uint64_t kPeerChecks = 70001;
+    constexpr std::uint64_t kMyChecks = 100000;
     std::thread peer([&] {
         // A fresh thread sees its own clean state, not this thread's
         // throwing handler or counter tallies — so concurrent runs
@@ -101,11 +116,133 @@ TEST(CheckMacros, HandlerAndCountersArePerThread)
         other_handler = check::state().handler;
         other_evaluated = check::counters().evaluated;
         ABSIM_CHECK(true, "tallied on the peer thread only");
+        // Unread evaluations, concurrent with this thread's, fold into
+        // the peer's own state when its scope ends.
+        check::ScopedState scope(peer_run);
+        for (std::uint64_t i = 0; i < kPeerChecks; ++i)
+            ABSIM_CHECK(i < kPeerChecks, "loop bound");
     });
+    for (std::uint64_t i = 0; i < kMyChecks; ++i)
+        ABSIM_CHECK(i < kMyChecks, "loop bound");
     peer.join();
     EXPECT_EQ(other_handler, nullptr);
     EXPECT_EQ(other_evaluated, 0u);
-    EXPECT_EQ(check::counters().evaluated, mine);
+    EXPECT_EQ(peer_run.counters.evaluated, kPeerChecks);
+    EXPECT_EQ(check::counters().evaluated, mine + kMyChecks);
+}
+
+TEST(CheckMacros, PassingChecksNeverEvaluateTheirMessage)
+{
+    int touched = 0;
+    ABSIM_CHECK(true, "side effect " << ++touched);
+    ABSIM_DCHECK(true, "side effect " << ++touched);
+    ABSIM_CHECK_EQ(3, 3, "side effect " << ++touched);
+    ABSIM_CHECK_LE(3, 4, "side effect " << ++touched);
+    EXPECT_EQ(touched, 0);
+}
+
+TEST(CheckMacros, OrderingCheckPrintsBothOperands)
+{
+    check::ScopedThrowOnFailure guard;
+    const std::uint64_t low = 9;
+    const std::uint64_t high = 4;
+    int line = 0;
+    try {
+        line = __LINE__ + 1;
+        ABSIM_CHECK_LE(low, high, "window");
+        FAIL() << "check did not fire";
+    } catch (const check::CheckFailure &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("low <= high (9 vs 4): window"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("(low) <= (high)"), std::string::npos) << what;
+        EXPECT_EQ(e.line(), line);
+    }
+}
+
+// ------------------------------------------------- Evaluation counter
+
+TEST(CheckCounter, PendingEvaluationsLandInTheStateCurrentWhenTheyRan)
+{
+    check::State outer;
+    check::State inner;
+    {
+        check::ScopedState outer_scope(outer);
+        ABSIM_CHECK(true, "outer");
+        {
+            check::ScopedState inner_scope(inner);
+            ABSIM_CHECK(true, "inner");
+            ABSIM_CHECK(true, "inner");
+            {
+                check::State innermost;
+                check::ScopedState innermost_scope(innermost);
+                ABSIM_CHECK(true, "innermost");
+                EXPECT_EQ(check::counters().evaluated, 1u);
+            }
+            ABSIM_CHECK(true, "inner");
+        }
+        // Nothing read the counters in between: the scopes' ends folded
+        // each pending count into the state that was current.
+        EXPECT_EQ(inner.counters.evaluated, 3u);
+        ABSIM_CHECK(true, "outer");
+    }
+    EXPECT_EQ(outer.counters.evaluated, 2u);
+    EXPECT_EQ(inner.counters.evaluated, 3u);
+}
+
+TEST(CheckCounter, ReadingTheCountersFoldsPendingEvaluationsOnce)
+{
+    check::State run;
+    check::ScopedState scope(run);
+    ABSIM_CHECK(true, "a");
+    ABSIM_CHECK(true, "b");
+    EXPECT_EQ(check::counters().evaluated, 2u);
+    EXPECT_EQ(check::counters().evaluated, 2u);
+    EXPECT_EQ(run.counters.evaluated, 2u);
+}
+
+TEST(CheckCounter, FailureFoldsPendingEvaluationsBeforeTheHandlerRuns)
+{
+    check::State run;
+    check::ScopedState scope(run);
+    check::ScopedThrowOnFailure guard;
+    ABSIM_CHECK(true, "passes");
+    EXPECT_THROW(ABSIM_CHECK(false, "fails"), check::CheckFailure);
+    // Read the member directly: fail() already folded both evaluations.
+    EXPECT_EQ(run.counters.evaluated, 2u);
+    EXPECT_EQ(run.counters.failed, 1u);
+}
+
+/// Engine evaluations over a fiber that yields @p steps times and runs
+/// @p per_step checks of its own before each yield.
+std::uint64_t
+evaluationsOverFiber(int steps, int per_step)
+{
+    check::State run;
+    check::ScopedState scope(run);
+    sim::Fiber fiber([steps, per_step] {
+        for (int s = 0; s < steps; ++s) {
+            for (int c = 0; c < per_step; ++c)
+                ABSIM_CHECK(true, "inside the fiber");
+            sim::Fiber::yield();
+        }
+    });
+    while (!fiber.finished())
+        fiber.resume();
+    return check::counters().evaluated;
+}
+
+TEST(CheckCounter, EvaluationsInsideFibersCountExactlyAcrossSwitches)
+{
+    // The fiber's own guards (canary, resume/yield) evaluate checks
+    // too; the same switch pattern with and without body checks
+    // isolates exactly the body's.
+    evaluationsOverFiber(5, 0); // Warm the stack pool for both runs.
+    const std::uint64_t bare = evaluationsOverFiber(5, 0);
+    const std::uint64_t checked = evaluationsOverFiber(5, 3);
+    EXPECT_GT(bare, 0u);
+    EXPECT_EQ(checked - bare, 15u);
 }
 
 // ----------------------------------------------------------- Causality

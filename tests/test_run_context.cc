@@ -64,6 +64,16 @@ TEST(RunContext, AggregatesCountersIntoEnclosingStateAndGlobals)
     EXPECT_EQ(ambient.counters.evaluated, 2u);
     EXPECT_EQ(check::globalCounters().evaluated,
               global_before.evaluated + 2);
+    {
+        core::RunContext context;
+        for (int i = 0; i < 5; ++i)
+            ABSIM_CHECK(true, "never fires");
+        // Nothing reads this run's counters before it ends: the pending
+        // evaluations still reach the enclosing state and the globals.
+    }
+    EXPECT_EQ(ambient.counters.evaluated, 7u);
+    EXPECT_EQ(check::globalCounters().evaluated,
+              global_before.evaluated + 7);
 }
 
 TEST(RunContext, InstallsFreshInertInjectorWhenNoPlanIsArmed)

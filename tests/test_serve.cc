@@ -22,6 +22,7 @@
 #include "serve/result_cache.hh"
 #include "serve/service.hh"
 #include "sim/trace.hh"
+#include "trace_replay/format.hh"
 
 namespace {
 
@@ -195,8 +196,8 @@ TEST(ServeCache, PersistsEntriesAcrossReopen)
     {
         serve::ResultCache cache;
         ASSERT_TRUE(cache.open(path));
-        cache.insert(core::fnv1a64("canon-a"), "canon-a", "payload-a");
-        cache.insert(core::fnv1a64("canon-b"), "canon-b", "payload-b");
+        cache.insert(trace::fnv1a64("canon-a"), "canon-a", "payload-a");
+        cache.insert(trace::fnv1a64("canon-b"), "canon-b", "payload-b");
         cache.close();
     }
     serve::ResultCache cache;
@@ -205,7 +206,7 @@ TEST(ServeCache, PersistsEntriesAcrossReopen)
     EXPECT_EQ(cache.recoveredEntries(), 2u);
     EXPECT_FALSE(cache.recoveredTornTail());
     std::string payload;
-    ASSERT_TRUE(cache.lookup(core::fnv1a64("canon-a"), payload));
+    ASSERT_TRUE(cache.lookup(trace::fnv1a64("canon-a"), payload));
     EXPECT_EQ(payload, "payload-a");
 }
 
@@ -216,7 +217,7 @@ TEST(ServeCache, TornTailIsDroppedAndTruncatedOnReopen)
     {
         serve::ResultCache cache;
         ASSERT_TRUE(cache.open(path));
-        cache.insert(core::fnv1a64("intact"), "intact", "survives");
+        cache.insert(trace::fnv1a64("intact"), "intact", "survives");
         cache.close();
     }
     {
@@ -230,10 +231,10 @@ TEST(ServeCache, TornTailIsDroppedAndTruncatedOnReopen)
         EXPECT_TRUE(cache.recoveredTornTail());
         EXPECT_EQ(cache.size(), 1u);
         std::string payload;
-        ASSERT_TRUE(cache.lookup(core::fnv1a64("intact"), payload));
+        ASSERT_TRUE(cache.lookup(trace::fnv1a64("intact"), payload));
         EXPECT_EQ(payload, "survives");
         // Appending after recovery welds onto the clean prefix.
-        cache.insert(core::fnv1a64("after"), "after", "appended");
+        cache.insert(trace::fnv1a64("after"), "after", "appended");
         cache.close();
     }
     serve::ResultCache cache;
@@ -249,7 +250,7 @@ TEST(ServeCache, RecordWhoseCanonMismatchesItsKeyIsATear)
     {
         serve::ResultCache cache;
         ASSERT_TRUE(cache.open(path));
-        cache.insert(core::fnv1a64("good"), "good", "kept");
+        cache.insert(trace::fnv1a64("good"), "good", "kept");
         cache.close();
     }
     {

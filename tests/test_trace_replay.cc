@@ -295,6 +295,15 @@ TEST(TraceReplay, TornTraceFileIsACacheMiss)
     EXPECT_FALSE(trace::loadTrace(path, corrupt));
 }
 
+TEST(TraceReplay, ChecksumIsFnv1a64)
+{
+    // Trace files and cached-run keys persist this hash: the published
+    // FNV-1a 64 test vectors pin its constants and byte order.
+    EXPECT_EQ(trace::fnv1a64(""), 0xcbf29ce484222325ull);
+    EXPECT_EQ(trace::fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(trace::fnv1a64("foobar"), 0x85944171f73967e8ull);
+}
+
 TEST(TraceReplay, FormatRoundTripPreservesEverything)
 {
     TempTraceDir dir;
